@@ -1,11 +1,11 @@
 // Out-of-core storage experiment: what the per-disk I/O scheduler threads,
-// the readahead window, and the block cache buy on a sequential chunk scan —
+// per-disk readahead, and the block cache buy on a sequential chunk scan —
 // the access pattern of the Read filters.
 //
 // The dataset is materialized into an on-disk chunk store spread over
 // 2 hosts x 2 disk directories (4 scheduler threads), then scanned in chunk
-// order exactly the way viz::ReadFilter consumes it: an initial prefetch
-// window of `depth`, then read + slide the window by one per chunk. Each
+// order exactly the way viz::ReadFilter consumes it: through an
+// io::ReadStream that keeps `depth` requests queued on every disk. Each
 // scheduler sleeps `--latency-us` per request to emulate device latency
 // (files this small sit in the page cache, where every pread returns in
 // microseconds and readahead would have nothing to hide). Every (depth,
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -50,15 +51,16 @@ double now_s() {
       .count();
 }
 
-/// One sequential scan with a sliding readahead window of `depth`.
+/// One sequential scan through an io::ReadStream with per-disk readahead
+/// `depth`.
 double scan(io::ChunkReader& reader, int num_chunks, int depth) {
-  for (int k = 0; k < depth && k < num_chunks; ++k) reader.prefetch(k, 0);
+  std::vector<int> plan(static_cast<std::size_t>(num_chunks));
+  std::iota(plan.begin(), plan.end(), 0);
+  io::ReadStream stream(reader, std::move(plan), /*timestep=*/0, depth);
   const double t0 = now_s();
   std::uint64_t consumed = 0;
-  for (int c = 0; c < num_chunks; ++c) {
-    const auto data = reader.read(c, 0);
-    if (depth > 0) reader.prefetch(c + depth, 0);
-    consumed ^= io::fnv1a(*data);  // stand-in for the consumer's compute
+  while (!stream.done()) {
+    consumed ^= io::fnv1a(*stream.next());  // stand-in for the consumer's compute
   }
   const double wall = now_s() - t0;
   if (consumed == 0x5eed) std::printf("(unlikely)\n");  // keep `consumed` live

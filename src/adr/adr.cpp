@@ -108,8 +108,9 @@ void issue_reads(std::shared_ptr<UowState> st, std::size_t node_idx) {
       // work runs now; its cost is queued for the per-core worker threads
       // and retires on the node's (possibly loaded) CPU.
       n.tris.clear();
-      const viz::McStats s = viz::extract_chunk(
-          st->w, ref, st->w.timestep(st->uow), n.scratch, n.tris);
+      const viz::ChunkSamples in = viz::load_chunk_samples(
+          st->w, nullptr, ref, st->w.timestep(st->uow), n.scratch);
+      const viz::McStats s = viz::extract_chunk(st->w, ref, in.data, n.tris);
       double ops = st->w.cost.read_per_byte * static_cast<double>(ref.bytes) +
                    viz::extract_ops(st->w.cost, s);
       ops += raster_chunk(*st, n);

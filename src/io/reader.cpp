@@ -1,5 +1,8 @@
 #include "io/reader.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 namespace dc::io {
 
 namespace {
@@ -63,19 +66,21 @@ IoRequest ChunkReader::make_request(const ChunkStore::ChunkHandle& h,
 
 std::shared_ptr<const std::vector<std::byte>> ChunkReader::read(
     int chunk, int timestep, double* io_wait_s) {
-  if (io_wait_s != nullptr) *io_wait_s = 0.0;
+  return redeem(chunk, timestep, lookup(chunk, timestep, /*ahead=*/false),
+                io_wait_s);
+}
+
+ChunkReader::Pin ChunkReader::lookup(int chunk, int timestep, bool ahead) {
   const std::uint64_t key = key_of(chunk, timestep);
   const ChunkStore::ChunkHandle& h = store_.handle(chunk, timestep);
 
-  std::shared_ptr<IoSlot> slot;
-  bool joined_prefetch = false;
-  bool creator = false;
+  Pin pin;
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++read_calls_;
-    if (auto data = cache_->get(key)) {
+    if ((pin.data = cache_->get(key))) {
       emit_instant("cache.hit", chunk, timestep);
-      return data;
+      return pin;
     }
     emit_instant("cache.miss", chunk, timestep);
     const auto it = in_flight_.find(key);
@@ -84,38 +89,49 @@ std::shared_ptr<const std::vector<std::byte>> ChunkReader::read(
       // join is counted via inflight_joins_, so demote the flight to a
       // demand read — the block must not ALSO enter the cache flagged as
       // prefetched (that would count the same readahead success twice).
-      slot = it->second.slot;
-      joined_prefetch = it->second.prefetch;
+      pin.slot = it->second.slot;
+      pin.readahead = it->second.prefetch;
       it->second.prefetch = false;
       emit_instant("read.join", chunk, timestep);
-    } else {
-      slot = std::make_shared<IoSlot>();
-      in_flight_.emplace(key, Flight{slot, /*prefetch=*/false});
-      creator = true;
+      return pin;
+    }
+    // A stream's own flight stays a demand flight in in_flight_: the stream
+    // counts the readahead hit itself when it redeems the pin.
+    pin.slot = std::make_shared<IoSlot>();
+    pin.readahead = ahead;
+    in_flight_.emplace(key, Flight{pin.slot, /*prefetch=*/false});
+    if (ahead) {
+      ++prefetch_issued_;
+      emit_instant("prefetch.issue", chunk, timestep);
     }
   }
-  if (creator) {
-    // Demand reads block when the disk queue is full (backpressure).
-    schedulers_[static_cast<std::size_t>(h.disk_index)]->submit(
-        make_request(h, key, slot), /*drop_if_full=*/false);
-  }
+  // Block when the disk queue is full (backpressure): the consumer needs
+  // this block, so it is not droppable like a prefetch() hint.
+  schedulers_[static_cast<std::size_t>(h.disk_index)]->submit(
+      make_request(h, key, pin.slot), /*drop_if_full=*/false);
+  return pin;
+}
 
+std::shared_ptr<const std::vector<std::byte>> ChunkReader::redeem(
+    int chunk, int timestep, const Pin& pin, double* io_wait_s) {
+  if (io_wait_s != nullptr) *io_wait_s = 0.0;
+  if (pin.data) return pin.data;
   double waited = 0.0;
-  auto data = slot->wait(waited);
-
+  auto data = pin.slot->wait(waited);
   {
     std::lock_guard<std::mutex> lk(mu_);
     read_wait_s_ += waited;
-    if (joined_prefetch) ++inflight_joins_;
+    if (pin.readahead) ++inflight_joins_;
     // Publish + retire eagerly instead of waiting for on_complete to run on
     // the scheduler thread: a caller that sequences read(a); read(b) must
     // see read(a)'s effect on the cache (and its eviction) before read(b).
     // on_complete then finds the block resident / the flight gone and
-    // no-ops. from_prefetch=false: a joined prefetch is already counted via
+    // no-ops. from_prefetch=false: a readahead hit is counted via
     // inflight_joins_.
+    const std::uint64_t key = key_of(chunk, timestep);
     cache_->put(key, data, /*from_prefetch=*/false);
     const auto it = in_flight_.find(key);
-    if (it != in_flight_.end() && it->second.slot == slot) {
+    if (it != in_flight_.end() && it->second.slot == pin.slot) {
       in_flight_.erase(it);
     }
   }
@@ -176,6 +192,71 @@ void ChunkReader::prefetch(int chunk, int timestep) {
 }
 
 void ChunkReader::drop_cache() { cache_->clear(); }
+
+ReadStream::ReadStream(ChunkReader& reader, std::vector<int> plan, int timestep,
+                       int depth)
+    : reader_(&reader),
+      plan_(std::move(plan)),
+      timestep_(timestep),
+      depth_(depth > 0 ? static_cast<std::size_t>(depth) : 0) {
+  if (depth_ == 0) return;  // demand-only: next() is a plain read()
+  ring_.resize(reader.options().queue_capacity);
+  const ChunkStore& store = reader.store();
+  disks_.resize(store.disks().size());
+  for (std::size_t p = 0; p < plan_.size(); ++p) {
+    // An unknown chunk gets no cursor: next() demand-reads it, which throws
+    // exactly where a plain read() would.
+    if (!store.contains(plan_[p], timestep_)) continue;
+    disks_[static_cast<std::size_t>(store.handle(plan_[p], timestep_).disk_index)]
+        .positions.push_back(p);
+  }
+  std::erase_if(disks_, [](const DiskCursor& d) { return d.positions.empty(); });
+  top_up();  // start every disk now, as the copy initializes
+}
+
+void ReadStream::top_up() {
+  const std::size_t window_end = next_ + ring_.size();
+  for (DiskCursor& d : disks_) {
+    for (;;) {
+      // An entry stops occupying its disk once consumed or completed. Disks
+      // serve FIFO, so the first incomplete entry ends the scan.
+      while (d.settled < d.issued) {
+        const std::size_t p = d.positions[d.settled];
+        const ChunkReader::Pin& pin = ring_[p % ring_.size()];
+        if (p >= next_ && pin.slot && !pin.slot->is_done()) break;
+        ++d.settled;
+      }
+      if (d.issued - d.settled >= depth_ || d.issued == d.positions.size() ||
+          d.positions[d.issued] >= window_end) {
+        break;
+      }
+      const std::size_t p = d.positions[d.issued++];
+      ring_[p % ring_.size()] =
+          reader_->lookup(plan_[p], timestep_, /*ahead=*/true);
+      ++issued_;
+    }
+  }
+}
+
+ReadStream::Block ReadStream::next(double* io_wait_s) {
+  if (done()) throw std::logic_error("ReadStream: read past the end of the plan");
+  ChunkReader::Pin pin;
+  if (!ring_.empty()) {
+    top_up();
+    pin = std::exchange(ring_[next_ % ring_.size()], {});
+  }
+  const int chunk = plan_[next_++];
+  // Demand-only, or an unknown chunk: a plain read(), which throws for it.
+  if (!pin.data && !pin.slot) return reader_->read(chunk, timestep_, io_wait_s);
+  ++redeemed_;
+  double waited = 0.0;
+  Block data = reader_->redeem(chunk, timestep_, pin, &waited);
+  // Other disks may have finished their share while this one blocked:
+  // refill them before the caller goes off to compute.
+  if (waited > 0.0) top_up();
+  if (io_wait_s != nullptr) *io_wait_s = waited;
+  return data;
+}
 
 IoMetrics ChunkReader::metrics() const {
   IoMetrics m;

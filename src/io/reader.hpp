@@ -17,7 +17,9 @@ namespace dc::io {
 /// Tuning of one ChunkReader.
 struct ReaderOptions {
   std::size_t cache_bytes = 256 * 1024 * 1024;
-  std::size_t queue_capacity = 64;  ///< per-disk bounded request queue
+  /// Per-disk bounded request queue; also caps each ReadStream's
+  /// issued-but-unconsumed entries.
+  std::size_t queue_capacity = 64;
   bool verify_checksums = true;
   /// See SchedulerOptions::simulated_latency (benchmarks only).
   std::chrono::microseconds simulated_latency{0};
@@ -34,9 +36,9 @@ struct ReaderOptions {
 /// requests (a demand read joins an in-flight prefetch of the same block
 /// instead of re-reading it).
 ///
-/// Thread-safe: any number of filter copies may call read()/prefetch()
-/// concurrently — exactly the situation under exec::Engine, where every
-/// transparent copy runs on its own OS thread.
+/// Thread-safe: any number of filter copies may call read()/prefetch() and
+/// drive their own ReadStreams concurrently — exactly the situation under
+/// exec::Engine, where every transparent copy runs on its own OS thread.
 class ChunkReader {
  public:
   explicit ChunkReader(const ChunkStore& store, ReaderOptions opts = {});
@@ -56,20 +58,6 @@ class ChunkReader {
   /// full (prefetches are droppable; demand reads are not). Never blocks.
   void prefetch(int chunk, int timestep);
 
-  /// Hints entries [from, from + count) of a planned read sequence — the
-  /// sliding readahead window the sequential Read filters maintain (count =
-  /// prefetch depth at init, then 1 per consumed chunk to keep the window
-  /// full). Accepts plain chunk ids or anything with a `.chunk` member.
-  template <typename ChunkId>
-  void prefetch_range(const std::vector<ChunkId>& chunks, std::size_t from,
-                      int count, int timestep) {
-    for (int k = 0; k < count; ++k) {
-      const std::size_t i = from + static_cast<std::size_t>(k);
-      if (i >= chunks.size()) break;
-      prefetch(chunk_id_of(chunks[i]), timestep);
-    }
-  }
-
   /// Drops the block cache (cold-cache benchmarking). In-flight requests
   /// are unaffected.
   void drop_cache();
@@ -84,11 +72,23 @@ class ChunkReader {
     bool prefetch = false;
   };
 
-  static int chunk_id_of(int chunk) { return chunk; }
-  template <typename T>
-  static auto chunk_id_of(const T& ref) -> decltype(ref.chunk) {
-    return ref.chunk;
-  }
+  friend class ReadStream;
+
+  /// A looked-up block: resident (`data`) or the slot of its flight.
+  struct Pin {
+    std::shared_ptr<const std::vector<std::byte>> data;
+    std::shared_ptr<IoSlot> slot;
+    bool readahead = false;  ///< redeeming it counts as a readahead hit
+  };
+
+  /// Cache lookup, else join the block's flight or start one. `ahead`
+  /// marks a ReadStream readahead: a new flight counts as a prefetch issued
+  /// and its redemption as a readahead hit.
+  Pin lookup(int chunk, int timestep, bool ahead);
+  /// Waits for a pinned flight, then publishes the block and retires it.
+  std::shared_ptr<const std::vector<std::byte>> redeem(int chunk, int timestep,
+                                                       const Pin& pin,
+                                                       double* io_wait_s);
 
   IoRequest make_request(const ChunkStore::ChunkHandle& h, std::uint64_t key,
                          std::shared_ptr<IoSlot> slot);
@@ -114,6 +114,62 @@ class ChunkReader {
   std::uint64_t prefetch_dropped_ = 0;
   std::uint64_t inflight_joins_ = 0;  ///< demand reads that joined a prefetch
   double read_wait_s_ = 0.0;
+};
+
+/// One Read-side copy's planned sequential read for one UOW: next() returns
+/// the blocks of `plan` in plan order, blocking when a block is not there
+/// yet, with the same accounting as ChunkReader::read.
+///
+/// Readahead is scheduled per disk, not per plan position. The plan is split
+/// into per-disk cursors, and every next() tops each disk up until it holds
+/// `depth` of this stream's requests queued or in service, so a disk whose
+/// chunks come later in the plan still works while the copy waits on
+/// another. Issued entries stay within `ReaderOptions::queue_capacity`
+/// positions of the consumer, and each pins its flight's IoSlot, so LRU
+/// eviction cannot discard readahead before it is consumed; the pin is
+/// dropped as the entry is returned. `depth` 0 is demand-only.
+///
+/// Single-consumer; must not outlive its reader. Destroying a stream
+/// mid-plan (a UOW abort) only drops its pins: the reader completes the
+/// abandoned flights into the cache as usual.
+class ReadStream {
+ public:
+  using Block = std::shared_ptr<const std::vector<std::byte>>;
+
+  ReadStream() = default;  ///< empty: done() from the start
+  ReadStream(ChunkReader& reader, std::vector<int> plan, int timestep,
+             int depth);
+  ReadStream(ReadStream&&) = default;
+  ReadStream& operator=(ReadStream&&) = default;
+
+  /// The next planned block. `io_wait_s` (when non-null) receives the wall
+  /// seconds spent blocked on I/O. Throws like ChunkReader::read.
+  Block next(double* io_wait_s = nullptr);
+
+  [[nodiscard]] bool done() const { return next_ >= plan_.size(); }
+  /// Entries issued ahead of the consumer and not yet returned.
+  [[nodiscard]] std::size_t unconsumed() const { return issued_ - redeemed_; }
+
+ private:
+  struct DiskCursor {
+    std::vector<std::size_t> positions;  ///< this disk's plan positions
+    std::size_t issued = 0;   ///< positions[0, issued) were looked up
+    std::size_t settled = 0;  ///< positions[0, settled) no longer occupy it
+  };
+
+  void top_up();
+
+  ChunkReader* reader_ = nullptr;
+  std::vector<int> plan_;
+  int timestep_ = 0;
+  std::size_t depth_ = 0;
+  std::size_t next_ = 0;  ///< plan position the next next() returns
+  /// The issue window, indexed by plan position % size; an empty Pin is an
+  /// entry not looked up yet.
+  std::vector<ChunkReader::Pin> ring_;
+  std::vector<DiskCursor> disks_;  ///< only the disks the plan touches
+  std::size_t issued_ = 0;
+  std::size_t redeemed_ = 0;
 };
 
 }  // namespace dc::io

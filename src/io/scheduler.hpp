@@ -31,6 +31,12 @@ struct IoSlot {
   /// Blocks until completion; returns seconds spent waiting. Throws
   /// std::runtime_error on a failed read.
   std::shared_ptr<const std::vector<std::byte>> wait(double& waited_s);
+
+  /// Non-blocking completion probe.
+  [[nodiscard]] bool is_done() {
+    std::lock_guard<std::mutex> lk(mu);
+    return done;
+  }
 };
 
 /// One read request against an open store file.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -41,22 +42,21 @@ class ReadRecordsFilter final : public core::SourceFilter {
   void init(core::FilterContext& ctx) override {
     run_ = 0;
     if (reader_ == nullptr) return;
-    const int base = ctx.instance_index() * w_.runs_per_reader;
-    for (int k = 0; k < prefetch_depth_ && k < w_.runs_per_reader; ++k) {
-      reader_->prefetch(base + k, /*timestep=*/0);
-    }
+    std::vector<int> runs(static_cast<std::size_t>(w_.runs_per_reader));
+    std::iota(runs.begin(), runs.end(), ctx.instance_index() * w_.runs_per_reader);
+    stream_ = io::ReadStream(*reader_, std::move(runs), /*timestep=*/0,
+                             prefetch_depth_);
   }
 
   bool step(core::FilterContext& ctx) override {
     if (run_ >= w_.runs_per_reader) return false;
-    const int global_run = ctx.instance_index() * w_.runs_per_reader + run_;
     ++run_;
     ctx.read_disk(0, w_.records_per_run * w_.stored_record_bytes);
     ctx.charge(w_.gen_per_record * static_cast<double>(w_.records_per_run));
     core::Buffer out = ctx.make_buffer(0);
     if (reader_ != nullptr) {
       double waited = 0.0;
-      const auto data = reader_->read(global_run, /*timestep=*/0, &waited);
+      const auto data = stream_.next(&waited);
       ctx.note_io_wait(waited);
       if (data->size() % sizeof(SortRecord) != 0) {
         throw std::runtime_error("sort: run payload is not whole records");
@@ -70,12 +70,6 @@ class ReadRecordsFilter final : public core::SourceFilter {
           out = ctx.make_buffer(0);
           out.push(r);
         }
-      }
-      // Slide the readahead window: one new run per run consumed.
-      const int ahead = global_run + prefetch_depth_;
-      if (prefetch_depth_ > 0 &&
-          ahead < (ctx.instance_index() + 1) * w_.runs_per_reader) {
-        reader_->prefetch(ahead, /*timestep=*/0);
       }
     } else {
       auto& rng = ctx.rng();
@@ -99,6 +93,7 @@ class ReadRecordsFilter final : public core::SourceFilter {
   io::ChunkReader* reader_;
   int prefetch_depth_;
   int run_ = 0;
+  io::ReadStream stream_;  ///< this copy's runs, read ahead per disk
 };
 
 bool record_less(const SortRecord& a, const SortRecord& b) {

@@ -59,7 +59,9 @@ struct SortAppSpec {
   /// timestep 0 — the layout write_sort_runs() materializes. The reader is
   /// shared across all copies (it is thread-safe).
   io::ChunkReader* reader = nullptr;
-  int prefetch_depth = 2;  ///< readahead window per reader copy
+  /// Readahead of each reader copy's io::ReadStream: requests kept queued
+  /// or in service per disk its runs sit on. 0 = demand reads only.
+  int prefetch_depth = 2;
   /// 0 = each SortRun copy accumulates its whole input in memory (legacy).
   /// Nonzero: a copy bounds its working set to this many bytes of records —
   /// when accumulation would exceed it, the block is sorted and spilled to

@@ -1,6 +1,7 @@
 #include "viz/filters.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -64,37 +65,48 @@ std::vector<data::ChunkRef> local_chunks(const VizWorkload& w, int host, int cop
   return mine;
 }
 
-double load_chunk_samples(const VizWorkload& w, const data::ChunkRef& ref,
-                          float timestep, std::vector<float>& out) {
+void ChunkPlan::open(const VizWorkload& w, const core::FilterContext& ctx) {
+  chunks = local_chunks(w, ctx.host(), ctx.copy_in_host(), ctx.copies_on_host());
+  next = 0;
+  if (w.reader == nullptr) return;
+  std::vector<int> ids;
+  ids.reserve(chunks.size());
+  for (const data::ChunkRef& ref : chunks) ids.push_back(ref.chunk);
+  stream = io::ReadStream(*w.reader, std::move(ids),
+                          static_cast<int>(w.timestep(ctx.uow_index())),
+                          w.prefetch_depth);
+}
+
+ChunkSamples load_chunk_samples(const VizWorkload& w, io::ReadStream* stream,
+                                const data::ChunkRef& ref, float timestep,
+                                std::vector<float>& scratch) {
+  ChunkSamples s;
   if (w.reader == nullptr) {
-    w.field->fill_chunk(w.store->layout(), ref.chunk, timestep, out);
-    return 0.0;
+    w.field->fill_chunk(w.store->layout(), ref.chunk, timestep, scratch);
+    s.data = scratch.data();
+    return s;
   }
-  double waited = 0.0;
-  const auto data =
-      w.reader->read(ref.chunk, static_cast<int>(timestep), &waited);
+  s.block = stream != nullptr
+                ? stream->next(&s.io_wait_s)
+                : w.reader->read(ref.chunk, static_cast<int>(timestep), &s.io_wait_s);
   const auto expected = static_cast<std::size_t>(
                             w.store->layout().chunk_box(ref.chunk).points()) *
                         sizeof(float);
-  if (data->size() != expected) {
+  if (s.block->size() != expected) {
     throw std::runtime_error(
         "load_chunk_samples: on-disk chunk size mismatch (stale store?)");
   }
-  out.resize(data->size() / sizeof(float));
-  std::memcpy(out.data(), data->data(), data->size());
-  return waited;
+  // Blocks are heap allocations, aligned for any scalar type.
+  assert(reinterpret_cast<std::uintptr_t>(s.block->data()) % alignof(float) == 0);
+  s.data = reinterpret_cast<const float*>(s.block->data());
+  return s;
 }
 
 McStats extract_chunk(const VizWorkload& w, const data::ChunkRef& ref,
-                      float timestep, std::vector<float>& scratch,
-                      std::vector<Triangle>& tris, double* io_wait_s) {
-  const auto& layout = w.store->layout();
-  const double waited = load_chunk_samples(w, ref, timestep, scratch);
-  if (io_wait_s != nullptr) *io_wait_s = waited;
-  const data::CellBox box = layout.chunk_box(ref.chunk);
-  return marching_cubes(scratch.data(), box.hi[0] - box.lo[0],
-                        box.hi[1] - box.lo[1], box.hi[2] - box.lo[2],
-                        static_cast<float>(box.lo[0]),
+                      const float* samples, std::vector<Triangle>& tris) {
+  const data::CellBox box = w.store->layout().chunk_box(ref.chunk);
+  return marching_cubes(samples, box.hi[0] - box.lo[0], box.hi[1] - box.lo[1],
+                        box.hi[2] - box.lo[2], static_cast<float>(box.lo[0]),
                         static_cast<float>(box.lo[1]),
                         static_cast<float>(box.lo[2]), w.iso_value, tris);
 }
@@ -110,13 +122,8 @@ double extract_ops(const CostModel& c, const McStats& s) {
 // ---------------------------------------------------------------------------
 
 void ReadFilter::init(core::FilterContext& ctx) {
-  chunks_ = local_chunks(w_, ctx.host(), ctx.copy_in_host(), ctx.copies_on_host());
-  next_ = 0;
+  plan_.open(w_, ctx);
   out_ = core::Buffer();
-  if (w_.reader != nullptr) {
-    w_.reader->prefetch_range(chunks_, 0, w_.prefetch_depth,
-                              static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
 }
 
 namespace {
@@ -210,10 +217,10 @@ void emit_box(const VizWorkload& w, core::FilterContext& ctx, float timestep,
 void ReadFilter::emit_chunk(core::FilterContext& ctx, const data::ChunkRef& ref) {
   const float timestep = w_.timestep(ctx.uow_index());
   const data::CellBox box = w_.store->layout().chunk_box(ref.chunk);
-  const float* samples = nullptr;
+  ChunkSamples samples;  // in memory: null, emit_box samples the field
   if (w_.reader != nullptr) {
-    ctx.note_io_wait(load_chunk_samples(w_, ref, timestep, chunk_samples_));
-    samples = chunk_samples_.data();
+    samples = load_chunk_samples(w_, &plan_.stream, ref, timestep, scratch_);
+    ctx.note_io_wait(samples.io_wait_s);
   }
   BlockHeader h;
   h.x0 = box.lo[0];
@@ -222,22 +229,16 @@ void ReadFilter::emit_chunk(core::FilterContext& ctx, const data::ChunkRef& ref)
   h.nx = box.hi[0] - box.lo[0];
   h.ny = box.hi[1] - box.lo[1];
   h.nz = box.hi[2] - box.lo[2];
-  emit_box(w_, ctx, timestep, out_, scratch_, samples, box, h);
+  emit_box(w_, ctx, timestep, out_, scratch_, samples.data, box, h);
 }
 
 bool ReadFilter::step(core::FilterContext& ctx) {
-  if (next_ >= chunks_.size()) return false;
-  const data::ChunkRef ref = chunks_[next_++];
+  if (plan_.done()) return false;
+  const data::ChunkRef ref = plan_.chunks[plan_.next++];
   ctx.read_disk(ref.disk, ref.bytes);
   ctx.charge(w_.cost.read_per_byte * static_cast<double>(ref.bytes));
   emit_chunk(ctx, ref);
-  if (w_.reader != nullptr && w_.prefetch_depth > 0) {
-    // Keep the readahead window prefetch_depth chunks ahead of consumption.
-    w_.reader->prefetch_range(
-        chunks_, next_ - 1 + static_cast<std::size_t>(w_.prefetch_depth), 1,
-        static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
-  return next_ < chunks_.size();
+  return !plan_.done();
 }
 
 void ReadFilter::process_eow(core::FilterContext& ctx) {
@@ -459,29 +460,17 @@ void MergeFilter::process_eow(core::FilterContext& ctx) {
 // Fused filters
 // ---------------------------------------------------------------------------
 
-void ReadExtractFilter::init(core::FilterContext& ctx) {
-  chunks_ = local_chunks(w_, ctx.host(), ctx.copy_in_host(), ctx.copies_on_host());
-  next_ = 0;
-  if (w_.reader != nullptr) {
-    w_.reader->prefetch_range(chunks_, 0, w_.prefetch_depth,
-                              static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
-}
+void ReadExtractFilter::init(core::FilterContext& ctx) { plan_.open(w_, ctx); }
 
 bool ReadExtractFilter::step(core::FilterContext& ctx) {
-  if (next_ >= chunks_.size()) return false;
-  const data::ChunkRef ref = chunks_[next_++];
+  if (plan_.done()) return false;
+  const data::ChunkRef ref = plan_.chunks[plan_.next++];
   ctx.read_disk(ref.disk, ref.bytes);
+  const ChunkSamples in = load_chunk_samples(
+      w_, &plan_.stream, ref, w_.timestep(ctx.uow_index()), scratch_);
+  ctx.note_io_wait(in.io_wait_s);
   tris_.clear();
-  double io_wait = 0.0;
-  const McStats s = extract_chunk(w_, ref, w_.timestep(ctx.uow_index()),
-                                  scratch_, tris_, &io_wait);
-  ctx.note_io_wait(io_wait);
-  if (w_.reader != nullptr && w_.prefetch_depth > 0) {
-    w_.reader->prefetch_range(
-        chunks_, next_ - 1 + static_cast<std::size_t>(w_.prefetch_depth), 1,
-        static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
+  const McStats s = extract_chunk(w_, ref, in.data, tris_);
   ctx.charge(w_.cost.read_per_byte * static_cast<double>(ref.bytes) +
              extract_ops(w_.cost, s));
   core::Buffer out = ctx.make_buffer(0);
@@ -493,7 +482,7 @@ bool ReadExtractFilter::step(core::FilterContext& ctx) {
     }
   }
   if (out.size() > 0) ctx.write(0, out);
-  return next_ < chunks_.size();
+  return !plan_.done();
 }
 
 void ExtractRasterFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
@@ -515,33 +504,23 @@ void ExtractRasterFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
 
 void ReadExtractRasterFilter::init(core::FilterContext& ctx) {
   engine_.init(ctx);
-  chunks_ = local_chunks(w_, ctx.host(), ctx.copy_in_host(), ctx.copies_on_host());
-  next_ = 0;
-  if (w_.reader != nullptr) {
-    w_.reader->prefetch_range(chunks_, 0, w_.prefetch_depth,
-                              static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
+  plan_.open(w_, ctx);
 }
 
 bool ReadExtractRasterFilter::step(core::FilterContext& ctx) {
-  if (next_ >= chunks_.size()) return false;
-  const data::ChunkRef ref = chunks_[next_++];
+  if (plan_.done()) return false;
+  const data::ChunkRef ref = plan_.chunks[plan_.next++];
   ctx.read_disk(ref.disk, ref.bytes);
+  const ChunkSamples in = load_chunk_samples(
+      w_, &plan_.stream, ref, w_.timestep(ctx.uow_index()), scratch_);
+  ctx.note_io_wait(in.io_wait_s);
   tris_.clear();
-  double io_wait = 0.0;
-  const McStats s = extract_chunk(w_, ref, w_.timestep(ctx.uow_index()),
-                                  scratch_, tris_, &io_wait);
-  ctx.note_io_wait(io_wait);
-  if (w_.reader != nullptr && w_.prefetch_depth > 0) {
-    w_.reader->prefetch_range(
-        chunks_, next_ - 1 + static_cast<std::size_t>(w_.prefetch_depth), 1,
-        static_cast<int>(w_.timestep(ctx.uow_index())));
-  }
+  const McStats s = extract_chunk(w_, ref, in.data, tris_);
   ctx.charge(w_.cost.read_per_byte * static_cast<double>(ref.bytes) +
              extract_ops(w_.cost, s));
   engine_.raster(ctx, tris_.data(), tris_.size());
   engine_.input_boundary(ctx);
-  return next_ < chunks_.size();
+  return !plan_.done();
 }
 
 }  // namespace dc::viz

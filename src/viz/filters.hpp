@@ -37,7 +37,9 @@ struct VizWorkload {
   /// `field`. The reader is shared by every filter copy — it is thread-safe,
   /// and the store must cover timesteps [base_timestep, base_timestep+uows).
   io::ChunkReader* reader = nullptr;
-  int prefetch_depth = 2;  ///< readahead window per Read-side filter copy
+  /// Readahead of each Read-side copy's io::ReadStream: requests kept queued
+  /// or in service per disk the copy reads from. 0 = demand reads only.
+  int prefetch_depth = 2;
   float iso_value = 1.0f;
   float field_max = 2.0f;  ///< normalizes iso_value for coloring
   int width = 512;
@@ -84,6 +86,25 @@ struct RenderSink {
   void push(Image&& img);
 };
 
+/// One Read-side copy's work for the current UOW: its share of the host's
+/// chunks in plan order and, out of core, the io::ReadStream fetching them.
+struct ChunkPlan {
+  std::vector<data::ChunkRef> chunks;
+  std::size_t next = 0;
+  io::ReadStream stream;
+
+  /// Plans this copy's chunks for ctx's UOW and starts the readahead.
+  void open(const VizWorkload& w, const core::FilterContext& ctx);
+  [[nodiscard]] bool done() const { return next >= chunks.size(); }
+};
+
+/// One chunk's grid-point samples (cells + one-point halo, x-fastest).
+struct ChunkSamples {
+  const float* data = nullptr;
+  io::ReadStream::Block block;  ///< out of core: the block `data` points into
+  double io_wait_s = 0.0;       ///< wall seconds blocked on I/O
+};
+
 // ---------------------------------------------------------------------------
 // Standalone filters: R, E, Ra, M
 // ---------------------------------------------------------------------------
@@ -101,11 +122,9 @@ class ReadFilter final : public core::SourceFilter {
   void emit_chunk(core::FilterContext& ctx, const data::ChunkRef& ref);
 
   VizWorkload w_;
-  std::vector<data::ChunkRef> chunks_;
-  std::size_t next_ = 0;
+  ChunkPlan plan_;
   core::Buffer out_;
   std::vector<float> scratch_;
-  std::vector<float> chunk_samples_;  ///< whole-chunk load (out-of-core mode)
 };
 
 /// E: marching cubes over incoming voxel blocks, streaming triangles.
@@ -217,8 +236,7 @@ class ReadExtractFilter final : public core::SourceFilter {
 
  private:
   VizWorkload w_;
-  std::vector<data::ChunkRef> chunks_;
-  std::size_t next_ = 0;
+  ChunkPlan plan_;
   std::vector<float> scratch_;
   std::vector<Triangle> tris_;
 };
@@ -252,8 +270,7 @@ class ReadExtractRasterFilter final : public core::SourceFilter {
  private:
   VizWorkload w_;
   HsrEngine engine_;
-  std::vector<data::ChunkRef> chunks_;
-  std::size_t next_ = 0;
+  ChunkPlan plan_;
   std::vector<float> scratch_;
   std::vector<Triangle> tris_;
 };
@@ -263,20 +280,19 @@ class ReadExtractRasterFilter final : public core::SourceFilter {
                                                        int host, int copy,
                                                        int copies);
 
-/// Loads one chunk's grid-point samples (cells + one-point halo, x-fastest)
-/// into `out`: streamed from the on-disk store when `w.reader` is set
-/// (bit-identical to the synthesized samples, which is what the writer
-/// materialized), else synthesized from `w.field`. Returns the wall seconds
-/// spent blocked on I/O (0 in the in-memory mode) for ctx.note_io_wait().
-double load_chunk_samples(const VizWorkload& w, const data::ChunkRef& ref,
-                          float timestep, std::vector<float>& out);
+/// Loads one chunk's samples. Out of core (`w.reader` set) they are the
+/// block `stream` returns next, used in place — bit-identical to the
+/// synthesized samples, which is what the writer materialized; a null
+/// `stream` demand-reads the chunk instead. In memory they are synthesized
+/// from `w.field` into `scratch`.
+ChunkSamples load_chunk_samples(const VizWorkload& w, io::ReadStream* stream,
+                                const data::ChunkRef& ref, float timestep,
+                                std::vector<float>& scratch);
 
 /// Extracts triangles from one chunk's samples; appends to `tris` and
 /// returns the marching-cubes statistics. Shared by all read-side filters.
-/// `io_wait_s` (when non-null) receives load_chunk_samples' blocked time.
 McStats extract_chunk(const VizWorkload& w, const data::ChunkRef& ref,
-                      float timestep, std::vector<float>& scratch,
-                      std::vector<Triangle>& tris, double* io_wait_s = nullptr);
+                      const float* samples, std::vector<Triangle>& tris);
 
 /// CPU demand of extracting per `extract_chunk` stats.
 [[nodiscard]] double extract_ops(const CostModel& c, const McStats& s);

@@ -202,6 +202,62 @@ TEST_F(IoDifferential, PrefetchDepthZeroStillIdentical) {
   EXPECT_EQ(reader->metrics().cache.prefetch_issued, 0u);
 }
 
+// ---- per-disk readahead: every Read-side filter, two disks per host -------
+
+/// The structured outcome of one UOW of `s` on the sim engine, over four
+/// nodes with two disks each (the placement's disk count).
+core::UowOutcome sim_outcome(const viz::IsoAppSpec& s,
+                             const core::RuntimeConfig& cfg) {
+  sim::Simulation simulation;
+  sim::Topology topo(simulation);
+  sim::HostSpec host;
+  host.cores = 1;
+  host.cpu_mhz = 500.0;
+  host.num_disks = 2;
+  host.disk_bandwidth = 50e6;
+  host.nic_bandwidth = 125e6;
+  topo.add_hosts(4, host);
+  viz::IsoApp app = viz::build_iso_app(s);
+  core::Runtime rt(topo, app.graph, app.placement, cfg);
+  return rt.run_uow_outcome();
+}
+
+TEST_F(IoDifferential, PerDiskReadaheadEveryReadFilterTwoDisksPerHost) {
+  place_uniform({0, 1}, /*disks=*/2);
+  io::ReaderOptions opts;
+  opts.simulated_latency = std::chrono::microseconds(50);
+  materialize("per_disk_readahead", 1, opts);
+  core::RuntimeConfig cfg;
+  cfg.policy = core::Policy::kDemandDriven;
+  // R-ERa-M, RE-Ra-M and RERa-M: ReadFilter, ReadExtractFilter and
+  // ReadExtractRasterFilter. Two copies per data host share its disks.
+  for (viz::PipelineConfig config :
+       {viz::PipelineConfig::kR_ERa_M, viz::PipelineConfig::kRE_Ra_M,
+        viz::PipelineConfig::kRERa_M}) {
+    for (int depth : {0, 2}) {
+      SCOPED_TRACE(std::string(viz::to_string(config)) + " depth " +
+                   std::to_string(depth));
+      auto s = spec(config, viz::HsrAlgorithm::kZBuffer, {{0, 2}, {1, 2}},
+                    viz::one_each({2, 3}), 3);
+      expect_ooc_identical(s, cfg, /*uows=*/1, depth);
+
+      s.workload.prefetch_depth = depth;
+      s.workload.reader = nullptr;
+      const core::UowOutcome mem = sim_outcome(s, cfg);
+      s.workload.reader = reader.get();
+      const core::UowOutcome ooc = sim_outcome(s, cfg);
+      EXPECT_EQ(ooc.status, core::UowStatus::kComplete);
+      EXPECT_EQ(ooc.status, mem.status);
+      EXPECT_EQ(ooc.makespan, mem.makespan);
+      EXPECT_EQ(ooc.dead_filters, mem.dead_filters);
+      EXPECT_EQ(ooc.failovers, mem.failovers);
+      EXPECT_EQ(ooc.retransmits, mem.retransmits);
+      EXPECT_EQ(ooc.buffers_lost, mem.buffers_lost);
+      EXPECT_EQ(ooc.buffers_duplicated, mem.buffers_duplicated);
+    }
+  }
+}
+
 // ---- the simulator runs out-of-core too -----------------------------------
 
 TEST_F(IoDifferential, SimulatorEngineMatchesOutOfCore) {

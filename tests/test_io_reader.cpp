@@ -1,19 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "io/cache.hpp"
 #include "io/chunk_store.hpp"
 #include "io/reader.hpp"
 
 // ChunkReader behavior: concurrency, the LRU block cache, readahead
-// accounting, request coalescing, and the bounded per-disk queues.
+// accounting, request coalescing, the bounded per-disk queues, and the
+// per-disk readahead of ReadStream.
 
 namespace dc::io {
 namespace {
@@ -22,21 +26,54 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kChunkBytes = 4096;
 
-/// A store of `n` single-chunk payloads (chunk c filled with pattern c),
-/// spread over `disks` disk directories on one host.
-fs::path write_pattern_store(const std::string& name, int n, int disks = 2) {
+/// A store of single-chunk payloads (chunk c filled with pattern c) on one
+/// host, chunk c on disk directory `disk_of[c]`.
+fs::path write_placed_store(const std::string& name, const std::vector<int>& disk_of) {
   const fs::path root = fs::temp_directory_path() / ("dc_io_reader_" + name);
   fs::remove_all(root);
   ChunkStoreWriter w(root);
   std::vector<std::byte> payload(kChunkBytes);
-  for (int c = 0; c < n; ++c) {
+  for (int c = 0; c < static_cast<int>(disk_of.size()); ++c) {
     for (std::size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<std::byte>((c * 31 + static_cast<int>(i)) & 0xff);
     }
-    w.put_chunk({0, c % disks}, /*file_id=*/c, c, /*timestep=*/0, payload);
+    w.put_chunk({0, disk_of[static_cast<std::size_t>(c)]}, /*file_id=*/c, c,
+                /*timestep=*/0, payload);
   }
   w.finish();
   return root;
+}
+
+/// `n` chunks spread round-robin over `disks` disk directories.
+fs::path write_pattern_store(const std::string& name, int n, int disks = 2) {
+  std::vector<int> disk_of;
+  for (int c = 0; c < n; ++c) disk_of.push_back(c % disks);
+  return write_placed_store(name, disk_of);
+}
+
+std::vector<int> first_chunks(int n) {
+  std::vector<int> plan(static_cast<std::size_t>(n));
+  std::iota(plan.begin(), plan.end(), 0);
+  return plan;
+}
+
+std::uint64_t total_requests(const IoMetrics& m) {
+  std::uint64_t n = 0;
+  for (const DiskMetrics& d : m.disks) n += d.requests;
+  return n;
+}
+
+/// Bounded poll: true once disk `disk` of host 0 has served `n` requests,
+/// false if that takes longer than 10 s.
+bool await_served(const ChunkReader& reader, int disk, std::uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    for (const DiskMetrics& d : reader.metrics().disks) {
+      if (d.host == 0 && d.disk == disk && d.requests >= n) return true;
+    }
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
 }
 
 bool payload_matches(const std::vector<std::byte>& got, int c) {
@@ -244,6 +281,117 @@ TEST(ChunkReaderTest, MetricsLedgerIsConsistent) {
     EXPECT_GE(d.max_queue_depth, 1u);
     EXPECT_GE(d.service_s, 0.0);
   }
+  fs::remove_all(root);
+}
+
+TEST(ReadStreamTest, StartsALaterDiskBeforeConsumptionReachesIt) {
+  // Plan: 16 chunks on disk 0, then 16 on disk 1. A window over plan
+  // positions would leave disk 1 idle until entry 14; per-disk readahead
+  // starts it as soon as the stream opens.
+  std::vector<int> disk_of(32, 0);
+  std::fill(disk_of.begin() + 16, disk_of.end(), 1);
+  const fs::path root = write_placed_store("stream_later_disk", disk_of);
+  ChunkStore store(root);
+  ReaderOptions opts;
+  opts.simulated_latency = std::chrono::microseconds(2000);
+  ChunkReader reader(store, opts);
+  ReadStream stream(reader, first_chunks(32), /*timestep=*/0, /*depth=*/2);
+  EXPECT_TRUE(await_served(reader, /*disk=*/1, 2))
+      << "disk 1 idled while nothing was consumed";
+  for (int c = 0; c < 32; ++c) {
+    EXPECT_TRUE(payload_matches(*stream.next(), c)) << "entry " << c;
+  }
+  EXPECT_TRUE(stream.done());
+  EXPECT_THROW(stream.next(), std::logic_error);
+
+  const IoMetrics m = reader.metrics();
+  EXPECT_EQ(total_requests(m), 32u);  // each block read once
+  EXPECT_EQ(m.read_calls, 32u);
+  EXPECT_EQ(m.cache.prefetch_issued, 32u);
+  EXPECT_EQ(m.cache.readahead_hits, 32u);  // every readahead was used
+  fs::remove_all(root);
+}
+
+TEST(ReadStreamTest, BoundsPerDiskDepthAndUnconsumedEntries) {
+  // Runs of four chunks alternate between the two disks.
+  std::vector<int> disk_of;
+  for (int c = 0; c < 48; ++c) disk_of.push_back((c / 4) % 2);
+  const fs::path root = write_placed_store("stream_bounds", disk_of);
+  ChunkStore store(root);
+  ReaderOptions opts;
+  opts.queue_capacity = 6;  // the stream's unconsumed-entry cap
+  opts.simulated_latency = std::chrono::microseconds(200);
+  ChunkReader reader(store, opts);
+  ReadStream stream(reader, first_chunks(48), /*timestep=*/0, /*depth=*/2);
+  std::size_t most_ahead = 0;
+  for (int c = 0; c < 48; ++c) {
+    // A slow consumer: let every issued read finish first, so the stream
+    // has all the room it wants to run ahead.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (total_requests(reader.metrics()) <
+               static_cast<std::uint64_t>(c) + stream.unconsumed() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(payload_matches(*stream.next(), c)) << "entry " << c;
+    EXPECT_LE(stream.unconsumed(), 6u) << "entry " << c;
+    most_ahead = std::max(most_ahead, stream.unconsumed());
+  }
+  EXPECT_GE(most_ahead, 4u);  // both disks were kept two deep
+  for (const DiskMetrics& d : reader.metrics().disks) {
+    EXPECT_LE(d.max_queue_depth, 2u) << "disk " << d.disk;
+    EXPECT_EQ(d.requests, 24u) << "disk " << d.disk;
+  }
+  fs::remove_all(root);
+}
+
+TEST(ReadStreamTest, DepthZeroIssuesNoPrefetches) {
+  const fs::path root = write_pattern_store("stream_depth0", 8);
+  ChunkStore store(root);
+  ChunkReader reader(store);
+  ReadStream stream(reader, first_chunks(8), /*timestep=*/0, /*depth=*/0);
+  for (int c = 0; c < 8; ++c) {
+    EXPECT_EQ(stream.unconsumed(), 0u);
+    EXPECT_TRUE(payload_matches(*stream.next(), c));
+  }
+  const IoMetrics m = reader.metrics();
+  EXPECT_EQ(m.cache.prefetch_issued, 0u);
+  EXPECT_EQ(m.read_calls, 8u);
+  EXPECT_EQ(total_requests(m), 8u);
+  fs::remove_all(root);
+}
+
+TEST(ReadStreamTest, AbandonedStreamStrandsNoFlight) {
+  auto& arena = core::BufferArena::global();
+  const core::ArenaStats before = arena.stats();
+  const fs::path root = write_pattern_store("stream_abandon", 16);
+  {
+    ChunkStore store(root);
+    ReaderOptions opts;
+    opts.simulated_latency = std::chrono::microseconds(20000);  // 20 ms
+    {
+      ChunkReader reader(store, opts);
+      {
+        ReadStream stream(reader, first_chunks(16), /*timestep=*/0, /*depth=*/2);
+        EXPECT_TRUE(payload_matches(*stream.next(), 0));
+        EXPECT_GT(stream.unconsumed(), 0u);
+      }  // a UOW abort: dropped mid-plan with reads queued and in service
+      // Every abandoned block is still readable — joined in flight or
+      // cached by its completion — and none is read twice.
+      for (int c = 1; c < 16; ++c) {
+        EXPECT_TRUE(payload_matches(*reader.read(c, 0), c)) << "chunk " << c;
+      }
+      EXPECT_EQ(total_requests(reader.metrics()), 16u);
+    }
+    {
+      // Drop a stream and then its reader while reads are still queued:
+      // the reader's destructor fails them instead of hanging.
+      ChunkReader reader(store, opts);
+      ReadStream stream(reader, first_chunks(16), /*timestep=*/0, /*depth=*/2);
+      stream = ReadStream();
+    }
+  }
+  EXPECT_EQ(arena.stats().outstanding(), before.outstanding());
   fs::remove_all(root);
 }
 

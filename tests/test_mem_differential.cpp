@@ -58,6 +58,13 @@ class MemSeededPolicy : public MemDifferential,
 TEST_P(MemSeededPolicy, HeavySpillIsBitIdenticalToFixedWindowNative) {
   auto s = spec(viz::PipelineConfig::kRE_Ra_M, viz::one_each({0}),
                 viz::one_each({0}), 0);
+  // Burst: seven triangles per E->Ra buffer (the 256-byte minimum), so one
+  // RE step (one chunk) pushes dozens of buffers back to back, far more
+  // than the two-buffer floor. RE runs marching cubes between steps, so
+  // with one buffer per step Ra drains the queue every time and nothing
+  // need spill; a burst outruns Ra's wake-up on the first chunk with a
+  // surface.
+  s.tri_buffer_bytes = 256;
   for (std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     core::RuntimeConfig cfg;
@@ -112,6 +119,7 @@ TEST_F(MemDifferential, MultiUowSeriesSurvivesSustainedPressureNative) {
   auto s = spec(viz::PipelineConfig::kRE_Ra_M, viz::one_each({0}),
                 viz::one_each({0}), 0);
   s.workload.vary_view_per_uow = true;
+  s.tri_buffer_bytes = 256;  // burst, as above
   core::RuntimeConfig cfg;
   cfg.policy = core::Policy::kDemandDriven;
   cfg.window = 2;

@@ -409,6 +409,9 @@ TEST(GovernedEngine, BudgetConservationAcrossTwentySeeds) {
   s.raster_hosts = viz::one_each({0});
   s.merge_host = 0;
   s.keep_images = false;
+  // Burst: seven triangles per E->Ra buffer, so one RE step pushes dozens
+  // of buffers at once and outruns Ra (see test_mem_differential).
+  s.tri_buffer_bytes = 256;
 
   // Learning run: discover the floor reservation this spec implies.
   core::RuntimeConfig cfg;
@@ -420,7 +423,7 @@ TEST(GovernedEngine, BudgetConservationAcrossTwentySeeds) {
 
   // Tight-but-valid budget: floor plus a four-slot surplus, so elastic
   // grants, denials, and spills all exercise under the bound.
-  cfg.memory_budget_bytes = floor + 4 * s.pix_buffer_bytes;
+  cfg.memory_budget_bytes = floor + 4 * s.tri_buffer_bytes;
   std::uint64_t total_spilled = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     cfg.rng_seed = seed;
