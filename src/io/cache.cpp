@@ -10,34 +10,20 @@ BlockCache::BlockCache(std::size_t capacity_bytes) : capacity_(capacity_bytes) {
   }
 }
 
-std::shared_ptr<const std::vector<std::byte>> BlockCache::get(
-    std::uint64_t key, bool* from_prefetch) {
+std::shared_ptr<const std::vector<std::byte>> BlockCache::get(std::uint64_t key) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (from_prefetch != nullptr) *from_prefetch = false;
   const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++metrics_.misses;
-    return nullptr;
-  }
-  ++metrics_.hits;
-  Entry& e = *it->second;
-  if (e.from_prefetch) {
-    // First demand hit on a prefetched block: the readahead paid off once.
-    e.from_prefetch = false;
-    ++metrics_.readahead_hits;
-    if (from_prefetch != nullptr) *from_prefetch = true;
-  }
+  if (it == map_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
-  return e.data;
+  return it->second->data;
 }
 
 void BlockCache::put(std::uint64_t key,
-                     std::shared_ptr<const std::vector<std::byte>> data,
-                     bool from_prefetch) {
+                     std::shared_ptr<const std::vector<std::byte>> data) {
   std::lock_guard<std::mutex> lk(mu_);
   if (map_.find(key) != map_.end()) return;
   bytes_ += data->size();
-  lru_.push_front(Entry{key, std::move(data), from_prefetch});
+  lru_.push_front(Entry{key, std::move(data)});
   map_[key] = lru_.begin();
   ++metrics_.insertions;
   evict_locked();
@@ -53,11 +39,6 @@ void BlockCache::evict_locked() {
     lru_.pop_back();
     ++metrics_.evictions;
   }
-}
-
-bool BlockCache::contains(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return map_.find(key) != map_.end();
 }
 
 void BlockCache::clear() {

@@ -16,25 +16,20 @@ namespace dc::io {
 /// evicts from the cold end. A single oversized block is still admitted
 /// (the cache then holds just that block) so readers never spin on an
 /// uncacheable chunk.
+///
+/// The cache counts insertions and evictions only: whether a read was a hit
+/// is decided by the ChunkReader when the block reaches its consumer, which
+/// for a ReadStream entry is after the lookup.
 class BlockCache {
  public:
   explicit BlockCache(std::size_t capacity_bytes);
 
-  /// nullptr on miss. `from_prefetch` (when non-null) reports whether this
-  /// block was brought in by a prefetch and this is the first demand hit on
-  /// it — the signal IoMetrics counts as a readahead hit.
-  std::shared_ptr<const std::vector<std::byte>> get(std::uint64_t key,
-                                                    bool* from_prefetch = nullptr);
+  /// nullptr when not resident; a resident block becomes the hottest.
+  std::shared_ptr<const std::vector<std::byte>> get(std::uint64_t key);
 
   /// Inserts a block. No-op if the key is already resident: the entry keeps
-  /// its LRU position and its from_prefetch flag (recency is refreshed by
-  /// get(), not by re-insertion).
-  void put(std::uint64_t key, std::shared_ptr<const std::vector<std::byte>> data,
-           bool from_prefetch);
-
-  /// Residency probe that does not touch the hit/miss counters or the LRU
-  /// order (used to avoid issuing redundant prefetches).
-  [[nodiscard]] bool contains(std::uint64_t key) const;
+  /// its LRU position (recency is refreshed by get(), not by re-insertion).
+  void put(std::uint64_t key, std::shared_ptr<const std::vector<std::byte>> data);
 
   /// Drops every block (for cold-cache benchmarking).
   void clear();
@@ -46,7 +41,6 @@ class BlockCache {
   struct Entry {
     std::uint64_t key = 0;
     std::shared_ptr<const std::vector<std::byte>> data;
-    bool from_prefetch = false;
   };
 
   void evict_locked();

@@ -16,7 +16,6 @@ void publish(const IoMetrics& m, obs::MetricsRegistry& reg,
   reg.set(cache + "insertions", m.cache.insertions);
   reg.set(cache + "readahead_hits", m.cache.readahead_hits);
   reg.set(cache + "prefetch_issued", m.cache.prefetch_issued);
-  reg.set(cache + "prefetch_dropped", m.cache.prefetch_dropped);
   reg.set(cache + "bytes_cached", m.cache.bytes_cached);
   reg.set(cache + "resident_blocks", m.cache.resident_blocks);
 

@@ -28,9 +28,13 @@ struct DiskMetrics {
   }
 };
 
-/// Block-cache counters. A readahead hit is a read() satisfied by a block
-/// that a prefetch brought in (still in flight or already cached) — the
-/// number of disk waits the readahead window actually hid.
+/// Block-cache counters. hits, misses and readahead_hits are counted when a
+/// block reaches its consumer (ChunkReader::read or ReadStream::next), never
+/// for a ReadStream entry that was abandoned before it was returned. A hit
+/// is a block returned without waiting on a disk: resident when looked up,
+/// or a stream entry whose read completed before it was consumed. A
+/// readahead hit is a returned stream entry whose read the stream itself
+/// started (prefetch_issued) — the number of disk waits readahead hid.
 struct CacheMetrics {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -38,7 +42,9 @@ struct CacheMetrics {
   std::uint64_t insertions = 0;
   std::uint64_t readahead_hits = 0;
   std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_dropped = 0;  ///< queue full / already cached
+  /// Always 0: ReadStream readahead is never dropped. Kept because the
+  /// end-to-end benchmark ledger still reports it.
+  std::uint64_t prefetch_dropped = 0;
   std::uint64_t bytes_cached = 0;      ///< current resident payload bytes
   /// Currently resident blocks. Conservation invariant (asserted by
   /// tests/test_obs_invariants.cpp): insertions - evictions == resident_blocks

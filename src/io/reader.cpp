@@ -51,14 +51,12 @@ IoRequest ChunkReader::make_request(const ChunkStore::ChunkHandle& h,
         std::lock_guard<std::mutex> lk(mu_);
         const auto it = in_flight_.find(key);
         // Publish only while retiring our own flight. If the entry is gone
-        // (a demand waiter already published and retired it) or belongs to
-        // a newer flight for the same key, inserting here would resurrect
-        // the block into a cache the owner may since have evicted from or
-        // dropped entirely.
-        if (it == in_flight_.end() || it->second.slot != slot) return;
-        if (data) {
-          cache_->put(key, std::move(data), it->second.prefetch);
-        }
+        // (a waiter already published and retired it) or belongs to a newer
+        // flight for the same key, inserting here would resurrect the block
+        // into a cache the owner may since have evicted from or dropped
+        // entirely.
+        if (it == in_flight_.end() || it->second != slot) return;
+        if (data) cache_->put(key, std::move(data));
         in_flight_.erase(it);
       };
   return req;
@@ -67,7 +65,7 @@ IoRequest ChunkReader::make_request(const ChunkStore::ChunkHandle& h,
 std::shared_ptr<const std::vector<std::byte>> ChunkReader::read(
     int chunk, int timestep, double* io_wait_s) {
   return redeem(chunk, timestep, lookup(chunk, timestep, /*ahead=*/false),
-                io_wait_s);
+                /*ahead=*/false, io_wait_s);
 }
 
 ChunkReader::Pin ChunkReader::lookup(int chunk, int timestep, bool ahead) {
@@ -77,7 +75,6 @@ ChunkReader::Pin ChunkReader::lookup(int chunk, int timestep, bool ahead) {
   Pin pin;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++read_calls_;
     if ((pin.data = cache_->get(key))) {
       emit_instant("cache.hit", chunk, timestep);
       return pin;
@@ -85,110 +82,58 @@ ChunkReader::Pin ChunkReader::lookup(int chunk, int timestep, bool ahead) {
     emit_instant("cache.miss", chunk, timestep);
     const auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
-      // Coalesce: join the in-flight prefetch / concurrent demand read. The
-      // join is counted via inflight_joins_, so demote the flight to a
-      // demand read — the block must not ALSO enter the cache flagged as
-      // prefetched (that would count the same readahead success twice).
-      pin.slot = it->second.slot;
-      pin.readahead = it->second.prefetch;
-      it->second.prefetch = false;
+      // Coalesce onto the in-flight read. Only the stream that started a
+      // flight counts it as a readahead hit.
+      pin.slot = it->second;
       emit_instant("read.join", chunk, timestep);
       return pin;
     }
-    // A stream's own flight stays a demand flight in in_flight_: the stream
-    // counts the readahead hit itself when it redeems the pin.
     pin.slot = std::make_shared<IoSlot>();
     pin.readahead = ahead;
-    in_flight_.emplace(key, Flight{pin.slot, /*prefetch=*/false});
+    in_flight_.emplace(key, pin.slot);
     if (ahead) {
       ++prefetch_issued_;
       emit_instant("prefetch.issue", chunk, timestep);
     }
   }
-  // Block when the disk queue is full (backpressure): the consumer needs
-  // this block, so it is not droppable like a prefetch() hint.
+  // Block when the disk queue is full (backpressure).
   schedulers_[static_cast<std::size_t>(h.disk_index)]->submit(
-      make_request(h, key, pin.slot), /*drop_if_full=*/false);
+      make_request(h, key, pin.slot));
   return pin;
 }
 
 std::shared_ptr<const std::vector<std::byte>> ChunkReader::redeem(
-    int chunk, int timestep, const Pin& pin, double* io_wait_s) {
+    int chunk, int timestep, const Pin& pin, bool ahead, double* io_wait_s) {
   if (io_wait_s != nullptr) *io_wait_s = 0.0;
-  if (pin.data) return pin.data;
+  if (pin.data) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    read_calls_.fetch_add(1, std::memory_order_relaxed);
+    return pin.data;
+  }
   double waited = 0.0;
   auto data = pin.slot->wait(waited);
   {
     std::lock_guard<std::mutex> lk(mu_);
     read_wait_s_ += waited;
-    if (pin.readahead) ++inflight_joins_;
+    if (ahead && waited == 0.0) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ++misses_;
+    }
+    if (pin.readahead) ++readahead_hits_;
+    read_calls_.fetch_add(1, std::memory_order_relaxed);
     // Publish + retire eagerly instead of waiting for on_complete to run on
     // the scheduler thread: a caller that sequences read(a); read(b) must
     // see read(a)'s effect on the cache (and its eviction) before read(b).
     // on_complete then finds the block resident / the flight gone and
-    // no-ops. from_prefetch=false: a readahead hit is counted via
-    // inflight_joins_.
+    // no-ops.
     const std::uint64_t key = key_of(chunk, timestep);
-    cache_->put(key, data, /*from_prefetch=*/false);
+    cache_->put(key, data);
     const auto it = in_flight_.find(key);
-    if (it != in_flight_.end() && it->second.slot == pin.slot) {
-      in_flight_.erase(it);
-    }
+    if (it != in_flight_.end() && it->second == pin.slot) in_flight_.erase(it);
   }
   if (io_wait_s != nullptr) *io_wait_s = waited;
   return data;
-}
-
-void ChunkReader::prefetch(int chunk, int timestep) {
-  // Hints are best-effort and must never throw mid-pipeline: a hint past the
-  // end of the dataset is simply ignored.
-  if (!store_.contains(chunk, timestep)) return;
-  const std::uint64_t key = key_of(chunk, timestep);
-  const ChunkStore::ChunkHandle& h = store_.handle(chunk, timestep);
-
-  std::shared_ptr<IoSlot> slot;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (cache_->contains(key) || in_flight_.find(key) != in_flight_.end()) {
-      ++prefetch_dropped_;
-      emit_instant("prefetch.drop", chunk, timestep);
-      return;
-    }
-    slot = std::make_shared<IoSlot>();
-    in_flight_.emplace(key, Flight{slot, /*prefetch=*/true});
-  }
-  IoRequest req = make_request(h, key, slot);
-  if (schedulers_[static_cast<std::size_t>(h.disk_index)]->submit(
-          std::move(req), /*drop_if_full=*/true)) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++prefetch_issued_;
-    emit_instant("prefetch.issue", chunk, timestep);
-    return;
-  }
-  // The queue was full and the hint was dropped. Between releasing mu_ and
-  // the failed submit, a concurrent read() may have joined this flight (it
-  // demotes Flight::prefetch to false and blocks on the slot). Erasing the
-  // flight then would strand that reader in IoSlot::wait forever, so only
-  // erase when the flight is still untouched; otherwise resubmit blocking —
-  // it is a demand read now, and demand reads take backpressure, not drops.
-  bool joined = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++prefetch_dropped_;
-    emit_instant("prefetch.drop", chunk, timestep);
-    const auto it = in_flight_.find(key);
-    if (it != in_flight_.end() && it->second.slot == slot) {
-      if (it->second.prefetch) {
-        in_flight_.erase(it);
-      } else {
-        joined = true;
-      }
-    }
-  }
-  if (joined) {
-    schedulers_[static_cast<std::size_t>(h.disk_index)]->submit(
-        make_request(h, key, slot), /*drop_if_full=*/false);
-  }
 }
 
 void ChunkReader::drop_cache() { cache_->clear(); }
@@ -200,7 +145,6 @@ ReadStream::ReadStream(ChunkReader& reader, std::vector<int> plan, int timestep,
       timestep_(timestep),
       depth_(depth > 0 ? static_cast<std::size_t>(depth) : 0) {
   if (depth_ == 0) return;  // demand-only: next() is a plain read()
-  ring_.resize(reader.options().queue_capacity);
   const ChunkStore& store = reader.store();
   disks_.resize(store.disks().size());
   for (std::size_t p = 0; p < plan_.size(); ++p) {
@@ -211,6 +155,7 @@ ReadStream::ReadStream(ChunkReader& reader, std::vector<int> plan, int timestep,
         .positions.push_back(p);
   }
   std::erase_if(disks_, [](const DiskCursor& d) { return d.positions.empty(); });
+  ring_.resize(kLookaheadRounds * depth_ * disks_.size());
   top_up();  // start every disk now, as the copy initializes
 }
 
@@ -250,7 +195,7 @@ ReadStream::Block ReadStream::next(double* io_wait_s) {
   if (!pin.data && !pin.slot) return reader_->read(chunk, timestep_, io_wait_s);
   ++redeemed_;
   double waited = 0.0;
-  Block data = reader_->redeem(chunk, timestep_, pin, &waited);
+  Block data = reader_->redeem(chunk, timestep_, pin, /*ahead=*/true, &waited);
   // Other disks may have finished their share while this one blocked:
   // refill them before the caller goes off to compute.
   if (waited > 0.0) top_up();
@@ -263,10 +208,11 @@ IoMetrics ChunkReader::metrics() const {
   for (const auto& s : schedulers_) m.disks.push_back(s->metrics());
   m.cache = cache_->metrics();
   std::lock_guard<std::mutex> lk(mu_);
-  m.cache.readahead_hits += inflight_joins_;
+  m.cache.hits = hits_.load(std::memory_order_relaxed);
+  m.cache.misses = misses_;
+  m.cache.readahead_hits = readahead_hits_;
   m.cache.prefetch_issued = prefetch_issued_;
-  m.cache.prefetch_dropped = prefetch_dropped_;
-  m.read_calls = read_calls_;
+  m.read_calls = read_calls_.load(std::memory_order_relaxed);
   m.read_wait_s = read_wait_s_;
   return m;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -17,28 +18,27 @@ namespace dc::io {
 /// Tuning of one ChunkReader.
 struct ReaderOptions {
   std::size_t cache_bytes = 256 * 1024 * 1024;
-  /// Per-disk bounded request queue; also caps each ReadStream's
-  /// issued-but-unconsumed entries.
-  std::size_t queue_capacity = 64;
+  std::size_t queue_capacity = 64;  ///< per-disk bounded request queue
   bool verify_checksums = true;
   /// See SchedulerOptions::simulated_latency (benchmarks only).
   std::chrono::microseconds simulated_latency{0};
   /// Optional observability session, forwarded to every DiskScheduler (one
   /// "io.read" span per request on per-disk tracks) and used by the reader
-  /// itself for cache.hit / cache.miss / read.join / prefetch.issue /
-  /// prefetch.drop instants on an "io:reader" track. Must outlive the reader.
+  /// itself for cache.hit / cache.miss / read.join / prefetch.issue
+  /// instants, one per lookup, on an "io:reader" track. Must outlive the
+  /// reader.
   obs::TraceSession* trace = nullptr;
 };
 
 /// The read path of the storage subsystem: resolves (chunk, timestep)
 /// through an opened ChunkStore, schedules preads on the owning disk's
 /// scheduler thread, caches blocks in a shared LRU, and coalesces duplicate
-/// requests (a demand read joins an in-flight prefetch of the same block
-/// instead of re-reading it).
+/// requests (a read of a block already in flight joins that flight instead
+/// of re-reading it). Readahead is ReadStream's job.
 ///
-/// Thread-safe: any number of filter copies may call read()/prefetch() and
-/// drive their own ReadStreams concurrently — exactly the situation under
-/// exec::Engine, where every transparent copy runs on its own OS thread.
+/// Thread-safe: any number of filter copies may call read() and drive their
+/// own ReadStreams concurrently — exactly the situation under exec::Engine,
+/// where every transparent copy runs on its own OS thread.
 class ChunkReader {
  public:
   explicit ChunkReader(const ChunkStore& store, ReaderOptions opts = {});
@@ -53,11 +53,6 @@ class ChunkReader {
   std::shared_ptr<const std::vector<std::byte>> read(int chunk, int timestep,
                                                      double* io_wait_s = nullptr);
 
-  /// Asynchronous readahead hint: enqueue the block on its disk's scheduler
-  /// unless it is already cached, already in flight, or the disk queue is
-  /// full (prefetches are droppable; demand reads are not). Never blocks.
-  void prefetch(int chunk, int timestep);
-
   /// Drops the block cache (cold-cache benchmarking). In-flight requests
   /// are unaffected.
   void drop_cache();
@@ -67,27 +62,24 @@ class ChunkReader {
   [[nodiscard]] const ReaderOptions& options() const { return opts_; }
 
  private:
-  struct Flight {
-    std::shared_ptr<IoSlot> slot;
-    bool prefetch = false;
-  };
-
   friend class ReadStream;
 
   /// A looked-up block: resident (`data`) or the slot of its flight.
   struct Pin {
     std::shared_ptr<const std::vector<std::byte>> data;
     std::shared_ptr<IoSlot> slot;
-    bool readahead = false;  ///< redeeming it counts as a readahead hit
+    bool readahead = false;  ///< a ReadStream's own flight: a readahead hit
   };
 
   /// Cache lookup, else join the block's flight or start one. `ahead`
-  /// marks a ReadStream readahead: a new flight counts as a prefetch issued
-  /// and its redemption as a readahead hit.
+  /// marks a ReadStream readahead: a new flight counts as a prefetch issued.
+  /// Counts nothing the consumer sees; redeem() does.
   Pin lookup(int chunk, int timestep, bool ahead);
-  /// Waits for a pinned flight, then publishes the block and retires it.
+  /// Hands a looked-up block to its consumer, waiting for its flight if
+  /// needed, and counts the read. `ahead`: looked up by a ReadStream before
+  /// it was consumed, so a flight that completed since is a hit.
   std::shared_ptr<const std::vector<std::byte>> redeem(int chunk, int timestep,
-                                                       const Pin& pin,
+                                                       const Pin& pin, bool ahead,
                                                        double* io_wait_s);
 
   IoRequest make_request(const ChunkStore::ChunkHandle& h, std::uint64_t key,
@@ -108,11 +100,14 @@ class ChunkReader {
   std::vector<std::unique_ptr<DiskScheduler>> schedulers_;  ///< per disk
 
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, Flight> in_flight_;
-  std::uint64_t read_calls_ = 0;
+  std::unordered_map<std::uint64_t, std::shared_ptr<IoSlot>> in_flight_;
+  // Bumped without mu_ when a resident block is returned, so a cache hit
+  // takes no reader lock on its way to the consumer.
+  std::atomic<std::uint64_t> read_calls_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::uint64_t misses_ = 0;
   std::uint64_t prefetch_issued_ = 0;
-  std::uint64_t prefetch_dropped_ = 0;
-  std::uint64_t inflight_joins_ = 0;  ///< demand reads that joined a prefetch
+  std::uint64_t readahead_hits_ = 0;
   double read_wait_s_ = 0.0;
 };
 
@@ -124,17 +119,26 @@ class ChunkReader {
 /// into per-disk cursors, and every next() tops each disk up until it holds
 /// `depth` of this stream's requests queued or in service, so a disk whose
 /// chunks come later in the plan still works while the copy waits on
-/// another. Issued entries stay within `ReaderOptions::queue_capacity`
-/// positions of the consumer, and each pins its flight's IoSlot, so LRU
-/// eviction cannot discard readahead before it is consumed; the pin is
-/// dropped as the entry is returned. `depth` 0 is demand-only.
+/// another. Issued entries stay within capacity() = kLookaheadRounds x
+/// `depth` x (disks the plan touches) positions of the consumer, and each
+/// pins its block until it is returned, so LRU eviction cannot discard
+/// readahead before it is consumed. Those pinned blocks are outside the
+/// reader's cache_bytes: a stream holds at most capacity() chunks. `depth`
+/// 0 is demand-only.
 ///
 /// Single-consumer; must not outlive its reader. Destroying a stream
 /// mid-plan (a UOW abort) only drops its pins: the reader completes the
-/// abandoned flights into the cache as usual.
+/// abandoned flights into the cache as usual, and counts none of them as
+/// reads.
 class ReadStream {
  public:
   using Block = std::shared_ptr<const std::vector<std::byte>>;
+
+  /// How many rounds of `depth` per disk the stream may issue ahead of the
+  /// consumer. A disk's completed entries stop counting against its depth,
+  /// so while the consumer works through one disk's run of the plan the
+  /// other disks keep reading up to this far ahead.
+  static constexpr std::size_t kLookaheadRounds = 16;
 
   ReadStream() = default;  ///< empty: done() from the start
   ReadStream(ChunkReader& reader, std::vector<int> plan, int timestep,
@@ -149,6 +153,8 @@ class ReadStream {
   [[nodiscard]] bool done() const { return next_ >= plan_.size(); }
   /// Entries issued ahead of the consumer and not yet returned.
   [[nodiscard]] std::size_t unconsumed() const { return issued_ - redeemed_; }
+  /// The cap on unconsumed(); 0 when demand-only.
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
  private:
   struct DiskCursor {

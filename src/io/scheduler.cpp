@@ -68,20 +68,15 @@ DiskScheduler::~DiskScheduler() {
   queue_.clear();
 }
 
-bool DiskScheduler::submit(IoRequest req, bool drop_if_full) {
+void DiskScheduler::submit(IoRequest req) {
   std::unique_lock<std::mutex> lk(mu_);
-  if (queue_.size() >= opts_.queue_capacity) {
-    if (drop_if_full) return false;
-    space_.wait(lk,
-                [this] { return queue_.size() < opts_.queue_capacity || stop_; });
-  }
+  space_.wait(lk, [this] { return queue_.size() < opts_.queue_capacity || stop_; });
   if (stop_) {
     throw std::logic_error("DiskScheduler: submit after stop");
   }
   queue_.emplace_back(std::move(req), std::chrono::steady_clock::now());
   metrics_.max_queue_depth = std::max(metrics_.max_queue_depth, queue_.size());
   work_.notify_one();
-  return true;
 }
 
 DiskMetrics DiskScheduler::metrics() const {

@@ -49,8 +49,8 @@ struct IoRequest {
   std::shared_ptr<IoSlot> slot;
   /// Invoked on the scheduler thread after the slot is completed (data is
   /// null on failure). The ChunkReader uses it to publish the block to the
-  /// cache and retire the in-flight entry — prefetches have no waiter, so
-  /// completion must not depend on anyone calling slot->wait().
+  /// cache and retire the in-flight entry — an abandoned readahead has no
+  /// waiter, so completion must not depend on anyone calling slot->wait().
   std::function<void(std::shared_ptr<const std::vector<std::byte>>)> on_complete;
 };
 
@@ -71,8 +71,7 @@ struct SchedulerOptions {
 /// One I/O scheduler thread per simulated disk — the storage-side mirror of
 /// exec::Engine's one-thread-per-copy design. Requests are served FIFO from
 /// a bounded queue; submit() blocks when the queue is full (backpressure on
-/// the producer) unless the caller asks to drop instead (prefetch hints are
-/// droppable, demand reads are not).
+/// the producer).
 class DiskScheduler {
  public:
   DiskScheduler(DiskId id, SchedulerOptions opts);
@@ -81,9 +80,8 @@ class DiskScheduler {
   DiskScheduler(const DiskScheduler&) = delete;
   DiskScheduler& operator=(const DiskScheduler&) = delete;
 
-  /// Enqueues `req`. With `drop_if_full`, returns false instead of blocking
-  /// when the queue is at capacity (the request is not enqueued).
-  bool submit(IoRequest req, bool drop_if_full = false);
+  /// Enqueues `req`, blocking while the queue is at capacity.
+  void submit(IoRequest req);
 
   [[nodiscard]] DiskMetrics metrics() const;
   [[nodiscard]] DiskId id() const { return id_; }

@@ -15,9 +15,9 @@
 #include "io/chunk_store.hpp"
 #include "io/reader.hpp"
 
-// ChunkReader behavior: concurrency, the LRU block cache, readahead
-// accounting, request coalescing, the bounded per-disk queues, and the
-// per-disk readahead of ReadStream.
+// ChunkReader behavior: concurrency, the LRU block cache, request
+// coalescing, and the per-disk readahead of ReadStream with its
+// consumer-side accounting.
 
 namespace dc::io {
 namespace {
@@ -91,27 +91,26 @@ TEST(BlockCacheTest, LruEvictsLeastRecentlyUsed) {
   auto block = [] {
     return std::make_shared<const std::vector<std::byte>>(kChunkBytes);
   };
-  cache.put(1, block(), /*from_prefetch=*/false);
-  cache.put(2, block(), false);
-  EXPECT_NE(cache.get(1), nullptr);   // 1 is now more recent than 2
-  cache.put(3, block(), false);       // evicts 2
+  cache.put(1, block());
+  cache.put(2, block());
+  EXPECT_NE(cache.get(1), nullptr);  // 1 is now more recent than 2
+  cache.put(3, block());             // evicts 2
   EXPECT_EQ(cache.get(2), nullptr);
   EXPECT_NE(cache.get(1), nullptr);
   EXPECT_NE(cache.get(3), nullptr);
   const CacheMetrics m = cache.metrics();
   EXPECT_EQ(m.evictions, 1u);
   EXPECT_EQ(m.insertions, 3u);
-  EXPECT_EQ(m.hits, 3u);
-  EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.resident_blocks, 2u);
   EXPECT_LE(m.bytes_cached, 2 * kChunkBytes);
 }
 
 TEST(BlockCacheTest, KeepsAtLeastOneEntryAndRejectsZeroCapacity) {
   EXPECT_THROW(BlockCache{0}, std::invalid_argument);
   BlockCache cache(16);  // smaller than any block
-  cache.put(1, std::make_shared<const std::vector<std::byte>>(1024), false);
+  cache.put(1, std::make_shared<const std::vector<std::byte>>(1024));
   EXPECT_NE(cache.get(1), nullptr);  // oversized blocks still cache (1 entry)
-  cache.put(2, std::make_shared<const std::vector<std::byte>>(1024), false);
+  cache.put(2, std::make_shared<const std::vector<std::byte>>(1024));
   EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_NE(cache.get(2), nullptr);
 }
@@ -146,44 +145,59 @@ TEST(ChunkReaderTest, ConcurrentReadersSeeCorrectBytes) {
   fs::remove_all(root);
 }
 
-TEST(ChunkReaderTest, PrefetchedBlocksCountAsReadaheadHits) {
+TEST(ReadStreamTest, ReadaheadHitsAndConsumerSeenHits) {
   const fs::path root = write_pattern_store("readahead", 8);
   ChunkStore store(root);
   ReaderOptions opts;
   opts.simulated_latency = std::chrono::microseconds(2000);
   ChunkReader reader(store, opts);
-  for (int c = 0; c < 4; ++c) reader.prefetch(c, 0);
+  ReadStream stream(reader, first_chunks(4), /*timestep=*/0, /*depth=*/2);
+  // Let every readahead complete before anything is consumed: each entry
+  // then reaches its consumer without a disk wait, which is a hit. A block
+  // enters the cache only after its waiters were released.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reader.metrics().cache.insertions < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(reader.metrics().cache.insertions, 4u);
+  EXPECT_EQ(reader.metrics().read_calls, 0u);  // nothing consumed yet
   for (int c = 0; c < 4; ++c) {
-    EXPECT_TRUE(payload_matches(*reader.read(c, 0), c));
+    double waited = -1.0;
+    EXPECT_TRUE(payload_matches(*stream.next(&waited), c));
+    EXPECT_EQ(waited, 0.0);
   }
   const IoMetrics m = reader.metrics();
-  // Whether each read joined the in-flight prefetch or hit the cache after
-  // it completed, it must be attributed to readahead.
+  EXPECT_EQ(m.read_calls, 4u);
+  EXPECT_EQ(m.cache.hits, 4u);
+  EXPECT_EQ(m.cache.misses, 0u);
   EXPECT_EQ(m.cache.readahead_hits, 4u);
   EXPECT_EQ(m.cache.prefetch_issued, 4u);
-  std::uint64_t disk_requests = 0;
-  for (const DiskMetrics& d : m.disks) disk_requests += d.requests;
-  EXPECT_EQ(disk_requests, 4u);  // each block read from disk exactly once
+  EXPECT_EQ(total_requests(m), 4u);  // each block read from disk exactly once
   fs::remove_all(root);
 }
 
-TEST(ChunkReaderTest, DemandReadJoinsInFlightPrefetch) {
+TEST(ReadStreamTest, DemandReadJoinsAStreamsFlight) {
   const fs::path root = write_pattern_store("join", 2);
   ChunkStore store(root);
   ReaderOptions opts;
   opts.simulated_latency = std::chrono::microseconds(50000);  // 50 ms
   ChunkReader reader(store, opts);
-  reader.prefetch(0, 0);
-  // The read arrives while the prefetch is still sleeping in serve(): it
-  // must wait on the same slot, not issue a second disk request.
+  ReadStream stream(reader, first_chunks(2), /*timestep=*/0, /*depth=*/2);
+  // The read arrives while the stream's read of chunk 1 is still sleeping
+  // in serve(): it must wait on the same slot, not issue a second request.
   double waited = 0.0;
-  EXPECT_TRUE(payload_matches(*reader.read(0, 0, &waited), 0));
+  EXPECT_TRUE(payload_matches(*reader.read(1, 0, &waited), 1));
   EXPECT_GT(waited, 0.0);
+  EXPECT_TRUE(payload_matches(*stream.next(), 0));
+  EXPECT_TRUE(payload_matches(*stream.next(), 1));
   const IoMetrics m = reader.metrics();
-  std::uint64_t disk_requests = 0;
-  for (const DiskMetrics& d : m.disks) disk_requests += d.requests;
-  EXPECT_EQ(disk_requests, 1u);
-  EXPECT_EQ(m.cache.readahead_hits, 1u);
+  EXPECT_EQ(total_requests(m), 2u);
+  EXPECT_EQ(m.read_calls, 3u);
+  EXPECT_EQ(m.cache.hits + m.cache.misses, 3u);
+  // Only the stream that started a flight counts it as readahead.
+  EXPECT_EQ(m.cache.prefetch_issued, 2u);
+  EXPECT_EQ(m.cache.readahead_hits, 2u);
   EXPECT_GT(m.read_wait_s, 0.0);
   fs::remove_all(root);
 }
@@ -208,33 +222,19 @@ TEST(ChunkReaderTest, TinyCacheEvictsAndRereadsFromDisk) {
   fs::remove_all(root);
 }
 
-TEST(ChunkReaderTest, PrefetchesDropWhenQueueIsFull) {
-  const fs::path root = write_pattern_store("drop", 16, /*disks=*/1);
-  ChunkStore store(root);
-  ReaderOptions opts;
-  opts.queue_capacity = 1;
-  opts.simulated_latency = std::chrono::microseconds(50000);  // 50 ms
-  ChunkReader reader(store, opts);
-  for (int c = 0; c < 16; ++c) reader.prefetch(c, 0);
-  const IoMetrics m = reader.metrics();
-  EXPECT_GT(m.cache.prefetch_dropped, 0u);
-  EXPECT_GT(m.cache.prefetch_issued, 0u);
-  EXPECT_EQ(m.cache.prefetch_issued + m.cache.prefetch_dropped, 16u);
-  fs::remove_all(root);
-}
-
-TEST(ChunkReaderTest, RedundantPrefetchesAreDropped) {
-  const fs::path root = write_pattern_store("redundant", 2);
+TEST(ReadStreamTest, SkipsResidentBlocks) {
+  const fs::path root = write_pattern_store("resident", 2);
   ChunkStore store(root);
   ChunkReader reader(store);
   EXPECT_TRUE(payload_matches(*reader.read(0, 0), 0));
-  reader.prefetch(0, 0);  // already cached: dropped, no disk traffic
+  ReadStream stream(reader, first_chunks(2), /*timestep=*/0, /*depth=*/2);
+  EXPECT_TRUE(payload_matches(*stream.next(), 0));  // resident: no disk traffic
+  EXPECT_TRUE(payload_matches(*stream.next(), 1));
   const IoMetrics m = reader.metrics();
-  EXPECT_EQ(m.cache.prefetch_issued, 0u);
-  EXPECT_EQ(m.cache.prefetch_dropped, 1u);
-  std::uint64_t disk_requests = 0;
-  for (const DiskMetrics& d : m.disks) disk_requests += d.requests;
-  EXPECT_EQ(disk_requests, 1u);
+  EXPECT_EQ(m.cache.prefetch_issued, 1u);
+  EXPECT_EQ(m.cache.readahead_hits, 1u);
+  EXPECT_EQ(m.read_calls, 3u);
+  EXPECT_EQ(total_requests(m), 2u);
   fs::remove_all(root);
 }
 
@@ -244,8 +244,11 @@ TEST(ChunkReaderTest, UnknownChunkThrows) {
   ChunkReader reader(store);
   EXPECT_THROW(reader.read(99, 0), std::out_of_range);
   EXPECT_THROW(reader.read(0, 3), std::out_of_range);
-  // Unknown prefetches are ignored (hints must never throw mid-pipeline).
-  EXPECT_NO_THROW(reader.prefetch(99, 0));
+  // A stream throws for an unknown chunk only when it reaches it.
+  ReadStream stream(reader, {0, 99, 1}, /*timestep=*/0, /*depth=*/2);
+  EXPECT_TRUE(payload_matches(*stream.next(), 0));
+  EXPECT_THROW(stream.next(), std::out_of_range);
+  EXPECT_TRUE(payload_matches(*stream.next(), 1));
   fs::remove_all(root);
 }
 
@@ -313,18 +316,22 @@ TEST(ReadStreamTest, StartsALaterDiskBeforeConsumptionReachesIt) {
 }
 
 TEST(ReadStreamTest, BoundsPerDiskDepthAndUnconsumedEntries) {
-  // Runs of four chunks alternate between the two disks.
+  // Runs of four chunks alternate between the two disks; the plan is long
+  // enough for the stream to reach its cap well before the end.
+  constexpr int kChunks = 96;
   std::vector<int> disk_of;
-  for (int c = 0; c < 48; ++c) disk_of.push_back((c / 4) % 2);
+  for (int c = 0; c < kChunks; ++c) disk_of.push_back((c / 4) % 2);
   const fs::path root = write_placed_store("stream_bounds", disk_of);
   ChunkStore store(root);
   ReaderOptions opts;
-  opts.queue_capacity = 6;  // the stream's unconsumed-entry cap
   opts.simulated_latency = std::chrono::microseconds(200);
   ChunkReader reader(store, opts);
-  ReadStream stream(reader, first_chunks(48), /*timestep=*/0, /*depth=*/2);
+  ReadStream stream(reader, first_chunks(kChunks), /*timestep=*/0, /*depth=*/1);
+  // The cap follows from depth and the disks the plan touches alone.
+  const std::size_t cap = ReadStream::kLookaheadRounds * 1 * 2;
+  ASSERT_EQ(stream.capacity(), cap);
   std::size_t most_ahead = 0;
-  for (int c = 0; c < 48; ++c) {
+  for (int c = 0; c < kChunks; ++c) {
     // A slow consumer: let every issued read finish first, so the stream
     // has all the room it wants to run ahead.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -334,13 +341,13 @@ TEST(ReadStreamTest, BoundsPerDiskDepthAndUnconsumedEntries) {
       std::this_thread::yield();
     }
     EXPECT_TRUE(payload_matches(*stream.next(), c)) << "entry " << c;
-    EXPECT_LE(stream.unconsumed(), 6u) << "entry " << c;
+    EXPECT_LE(stream.unconsumed(), cap) << "entry " << c;
     most_ahead = std::max(most_ahead, stream.unconsumed());
   }
-  EXPECT_GE(most_ahead, 4u);  // both disks were kept two deep
+  EXPECT_GE(most_ahead, cap - 1);  // the cap, not the disks, held it back
   for (const DiskMetrics& d : reader.metrics().disks) {
-    EXPECT_LE(d.max_queue_depth, 2u) << "disk " << d.disk;
-    EXPECT_EQ(d.requests, 24u) << "disk " << d.disk;
+    EXPECT_LE(d.max_queue_depth, 1u) << "disk " << d.disk;
+    EXPECT_EQ(d.requests, static_cast<std::uint64_t>(kChunks / 2)) << "disk " << d.disk;
   }
   fs::remove_all(root);
 }
@@ -376,12 +383,20 @@ TEST(ReadStreamTest, AbandonedStreamStrandsNoFlight) {
         EXPECT_TRUE(payload_matches(*stream.next(), 0));
         EXPECT_GT(stream.unconsumed(), 0u);
       }  // a UOW abort: dropped mid-plan with reads queued and in service
+      // Only the consumed entry counts as a read.
+      IoMetrics m = reader.metrics();
+      EXPECT_EQ(m.read_calls, 1u);
+      EXPECT_EQ(m.cache.hits + m.cache.misses, 1u);
+      EXPECT_EQ(m.cache.readahead_hits, 1u);
       // Every abandoned block is still readable — joined in flight or
       // cached by its completion — and none is read twice.
       for (int c = 1; c < 16; ++c) {
         EXPECT_TRUE(payload_matches(*reader.read(c, 0), c)) << "chunk " << c;
       }
-      EXPECT_EQ(total_requests(reader.metrics()), 16u);
+      m = reader.metrics();
+      EXPECT_EQ(total_requests(m), 16u);
+      EXPECT_EQ(m.read_calls, 16u);
+      EXPECT_EQ(m.cache.readahead_hits, 1u);  // joins are not readahead hits
     }
     {
       // Drop a stream and then its reader while reads are still queued:

@@ -148,8 +148,11 @@ TEST_F(MemDifferential, HeavySpillIsBitIdenticalAcrossTwoProcesses) {
   // 3 x window in-flight buffers while the governed floor is one window, so
   // the receiving rank MUST spill under a one-byte budget. (The recv thread
   // never blocks either way — that is the governed-channel invariant.)
+  // Each RE step also bursts dozens of 256-byte buffers, as above, so the
+  // credit windows fill on the first chunk with a surface.
   auto s = spec(viz::PipelineConfig::kRE_Ra_M, {{0, 3}},
                 viz::one_each({1}), 1);
+  s.tri_buffer_bytes = 256;
   for (std::uint64_t seed : {1ULL, 42ULL, 987654321ULL}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     core::RuntimeConfig cfg;
