@@ -36,8 +36,8 @@
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
+#include "exec/engine.hpp"
 #include "exp_common.hpp"
-#include "net/distributed.hpp"
 #include "net/process.hpp"
 #include "net/transport.hpp"
 
@@ -114,23 +114,22 @@ int rank_main(net::RankEnv& env, core::Policy pol, int uows, int buffers,
   core::RuntimeConfig cfg;
   cfg.policy = pol;
   cfg.detection = core::FailureDetection::kMembership;
-  net::DistributedOptions dopts;
+  exec::DistributedOptions dopts;
   dopts.barrier_timeout_s = 30.0;
   dopts.heartbeat_interval_s = 0.02;
-  net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                             std::move(peers), dopts);
+  exec::Engine eng(g, p, cfg, env.rank, env.num_ranks, std::move(peers), dopts);
   if (cell != nullptr) eng.set_fault_cell(cell);
 
-  std::vector<net::UowResult> results;
+  std::vector<exec::UowResult> results;
   for (int u = 0; u < uows; ++u) {
     *cur = u;
-    results.push_back(eng.run_uow());
-    if (results.back().status == net::RunStatus::kTransportError) break;
+    results.push_back(eng.run_uow_outcome());
+    if (results.back().status == exec::RunStatus::kTransportError) break;
   }
   eng.shutdown();
 
   std::ofstream out(dir + "/rank" + std::to_string(env.rank) + ".txt");
-  for (const net::UowResult& r : results) {
+  for (const exec::UowResult& r : results) {
     out << "uow " << static_cast<int>(r.status) << ' '
         << static_cast<int>(r.outcome.status) << ' ' << r.makespan << ' '
         << r.outcome.failovers << ' ' << r.outcome.retransmits << ' '
@@ -147,7 +146,7 @@ int rank_main(net::RankEnv& env, core::Policy pol, int uows, int buffers,
 }
 
 struct UowAgg {
-  int status = 0;           ///< worst net::RunStatus across ranks
+  int status = 0;           ///< worst exec::RunStatus across ranks
   int outcome_status = 0;   ///< worst core::UowStatus across ranks
   double wall_s = 0.0;      ///< max rank makespan
   std::uint64_t failovers = 0;    ///< max (each rank books every copy set)
@@ -250,7 +249,7 @@ int main(int argc, char** argv) {
   const int kill_after = buffers / 8;
 
   exp::print_title(
-      "Degradation under process death (net::DistributedEngine + FaultHarness)",
+      "Degradation under process death (exec::Engine ranks + FaultHarness)",
       "4 ranks, SIGKILL rank " + std::to_string(kVictim) + " after " +
           std::to_string(kill_after) + " worker buffers, " +
           std::to_string(buffers) + " buffers/UOW, " + std::to_string(uows) +

@@ -1,6 +1,7 @@
 // Distributed TCP pipeline experiment: the RE-Ra-M isosurface render spread
 // over 1 / 2 / 4 cooperating OS processes on this machine, connected by the
-// dc::net transport (net::DistributedEngine), under each writer policy.
+// dc::net transport (one exec::Engine rank per process), under each writer
+// policy.
 //
 // This is the wall-clock, multi-process counterpart of exp_native_pipeline:
 // the same graph and placement run as one process per simulated host, the
@@ -8,12 +9,11 @@
 // the merged image of every configuration must be bit-identical to the
 // single-process native engine's render (which is itself checked against the
 // non-distributed reference). The table also reports what the transport did:
-// frames/s and bytes/s moved and the p99 credit-stall latency — and every
-// multi-rank configuration runs twice, on the zero-copy arena data plane and
-// on the legacy deep-copy path (DistributedRunOptions::copy_payloads), both
-// rendering the identical image. A final link-saturation phase streams large
-// DATA frames through one PeerLink in both modes to isolate the data plane's
-// copy cost from the sweep's compute-bound wall clock.
+// frames/s and bytes/s moved and the p99 credit-stall latency. A final
+// link-saturation phase streams large DATA frames through one PeerLink, on
+// the zero-copy data plane and on an emulation of the legacy copying plane,
+// to isolate the data plane's copy cost from the sweep's compute-bound wall
+// clock.
 //
 // The paper ran its filter services across a heterogeneous cluster; here the
 // "hosts" are processes on one machine, which exercises every protocol path
@@ -53,7 +53,6 @@ namespace {
 struct Point {
   int ranks = 0;
   std::string policy;
-  bool zero_copy = true;  ///< false: legacy deep-copy DATA path
   double wall_s = 0.0;
   bool image_ok = false;
   std::uint64_t frames = 0;
@@ -76,8 +75,8 @@ struct Point {
 /// (Buffer -> frame payload), sealed with a software FNV-1a payload digest,
 /// written as two separate socket writes with no cross-frame coalescing,
 /// and the receiver re-hashes the payload and rebuilds a Buffer from the
-/// frame's storage — the same copies DistributedOptions::copy_payloads
-/// books in the engine, plus the seed's checksum and syscall pattern.
+/// frame's storage — the copies the engine's DATA path made before it went
+/// zero-copy, plus the seed's checksum and syscall pattern.
 double saturate_link(bool zero_copy, int nframes, std::size_t payload_bytes) {
   auto& arena = core::BufferArena::global();
   net::Socket listener = net::listen_loopback(0, 4);
@@ -241,7 +240,7 @@ int main(int argc, char** argv) {
   };
 
   exp::print_title(
-      "Distributed RE-Ra-M pipeline over TCP (net::DistributedEngine)",
+      "Distributed RE-Ra-M pipeline over TCP (exec::Engine ranks)",
       "one process per host, loopback transport, " +
           std::to_string(args.uows) + " timestep(s), image " +
           std::to_string(args.small_image) + "^2");
@@ -255,8 +254,8 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   viz::DistributedRenderRun last;
-  exp::Table table({"procs", "path", "policy", "wall s/uow", "frames/s",
-                    "MB/s", "p99 stall us", "image"});
+  exp::Table table({"procs", "policy", "wall s/uow", "frames/s", "MB/s",
+                    "p99 stall us", "image"});
   for (int ranks : {1, 2, 4}) {
     const viz::IsoAppSpec spec = make_spec(ranks);
     for (const auto& pol : kPolicies) {
@@ -268,84 +267,55 @@ int main(int argc, char** argv) {
       // bit-parity reference for this configuration.
       const viz::NativeRenderRun ref = viz::run_iso_app_native(spec, cfg, 1);
 
-      // Zero-copy (the arena data plane, default) and, on the multi-rank
-      // configurations, the legacy deep-copy DATA path for the throughput
-      // delta. Both must render the identical image.
-      for (const bool zero_copy : {true, false}) {
-        if (!zero_copy && ranks == 1) continue;  // no wire traffic to copy
-        viz::DistributedRunOptions opts;
-        opts.timeout_s = 300.0;
-        opts.copy_payloads = !zero_copy;
-        const viz::DistributedRenderRun run =
-            viz::run_iso_app_distributed(spec, cfg, args.uows, ranks, opts);
-        if (!run.ok) {
-          std::fprintf(stderr, "run failed (%d ranks, %s, %s): %s\n", ranks,
-                       pol.name, zero_copy ? "zero-copy" : "copy",
-                       run.error.c_str());
-          return 1;
-        }
-        if (zero_copy) last = run;
-
-        Point pt;
-        pt.ranks = ranks;
-        pt.policy = pol.name;
-        pt.zero_copy = zero_copy;
-        double total_s = 0.0;
-        for (double s : run.per_uow) total_s += s;
-        pt.wall_s = total_s /
-                    static_cast<double>(run.per_uow.empty() ? 1
-                                                            : run.per_uow.size());
-        pt.image_ok = !run.digests.empty() && !ref.sink->digests.empty() &&
-                      run.digests[0] == ref.sink->digests[0];
-        pt.frames = run.net.frames_sent;
-        pt.bytes = run.net.bytes_sent;
-        pt.credit_stalls = run.net.credit_stalls;
-        pt.p99_stall_us = run.net.stall_percentile_us(0.99);
-        if (total_s > 0.0) {
-          pt.frames_per_s = static_cast<double>(pt.frames) / total_s;
-          pt.bytes_per_s = static_cast<double>(pt.bytes) / total_s;
-        }
-        points.push_back(pt);
-
-        table.row({std::to_string(pt.ranks), zero_copy ? "zero-copy" : "copy",
-                   pt.policy, exp::Table::num(pt.wall_s, 4),
-                   exp::Table::num(pt.frames_per_s, 1),
-                   exp::Table::num(pt.bytes_per_s / 1e6, 2),
-                   std::to_string(pt.p99_stall_us),
-                   pt.image_ok ? "ok" : "MISMATCH"});
+      viz::DistributedRunOptions opts;
+      opts.timeout_s = 300.0;
+      const viz::DistributedRenderRun run =
+          viz::run_iso_app_distributed(spec, cfg, args.uows, ranks, opts);
+      if (!run.ok) {
+        std::fprintf(stderr, "run failed (%d ranks, %s): %s\n", ranks,
+                     pol.name, run.error.c_str());
+        return 1;
       }
+      last = run;
+
+      Point pt;
+      pt.ranks = ranks;
+      pt.policy = pol.name;
+      double total_s = 0.0;
+      for (double s : run.per_uow) total_s += s;
+      pt.wall_s = total_s /
+                  static_cast<double>(run.per_uow.empty() ? 1
+                                                          : run.per_uow.size());
+      pt.image_ok = !run.digests.empty() && !ref.sink->digests.empty() &&
+                    run.digests[0] == ref.sink->digests[0];
+      pt.frames = run.net.frames_sent;
+      pt.bytes = run.net.bytes_sent;
+      pt.credit_stalls = run.net.credit_stalls;
+      pt.p99_stall_us = run.net.stall_percentile_us(0.99);
+      if (total_s > 0.0) {
+        pt.frames_per_s = static_cast<double>(pt.frames) / total_s;
+        pt.bytes_per_s = static_cast<double>(pt.bytes) / total_s;
+      }
+      points.push_back(pt);
+
+      table.row({std::to_string(pt.ranks), pt.policy,
+                 exp::Table::num(pt.wall_s, 4),
+                 exp::Table::num(pt.frames_per_s, 1),
+                 exp::Table::num(pt.bytes_per_s / 1e6, 2),
+                 std::to_string(pt.p99_stall_us),
+                 pt.image_ok ? "ok" : "MISMATCH"});
     }
   }
   exp::print_rule();
-
-  // Throughput delta of the refactor on the widest sweep: mean zero-copy
-  // frames/s over the 4-rank policies vs the same runs on the copy path.
-  double zc4 = 0.0, cp4 = 0.0;
-  int zc_n = 0, cp_n = 0;
-  for (const Point& pt : points) {
-    if (pt.ranks != 4) continue;
-    if (pt.zero_copy) {
-      zc4 += pt.frames_per_s;
-      ++zc_n;
-    } else {
-      cp4 += pt.frames_per_s;
-      ++cp_n;
-    }
-  }
-  if (zc_n > 0) zc4 /= zc_n;
-  if (cp_n > 0) cp4 /= cp_n;
-  const double speedup = cp4 > 0.0 ? zc4 / cp4 : 0.0;
   std::printf(
-      "4-rank sweep: zero-copy %.1f frames/s vs copy-path %.1f frames/s "
-      "(x%.2f)\nEvery row's merged image is checked bit-for-bit against the\n"
-      "single-process native engine render of the same spec and seed.\n",
-      zc4, cp4, speedup);
+      "Every row's merged image is checked bit-for-bit against the\n"
+      "single-process native engine render of the same spec and seed.\n");
   exp::print_rule();
 
   // Phase 2 — transport saturation. The engine sweep above is compute-bound
-  // (rasterization dominates its wall clock), so it bounds the copy path's
-  // END-TO-END cost; this phase isolates the data plane itself. Best of
-  // three reps per mode to shave scheduler noise (--quick: one rep).
+  // (rasterization dominates its wall clock); this phase isolates the data
+  // plane itself. Best of three reps per mode to shave scheduler noise
+  // (--quick: one rep).
   const int sat_frames = args.quick ? 96 : 768;
   // Frame payloads exactly fill one arena size class (the slot capacity a
   // lease of the nominal size gets) so MB/s measures full-slot transfers
@@ -382,8 +352,8 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry reg;
   for (const Point& pt : points) {
-    const std::string k = "sweep.p" + std::to_string(pt.ranks) + "." +
-                          (pt.zero_copy ? "" : "copy.") + pt.policy;
+    const std::string k =
+        "sweep.p" + std::to_string(pt.ranks) + "." + pt.policy;
     reg.set(k + ".wall_s", pt.wall_s);
     reg.set(k + ".frames", static_cast<std::int64_t>(pt.frames));
     reg.set(k + ".bytes", static_cast<std::int64_t>(pt.bytes));
@@ -393,9 +363,6 @@ int main(int argc, char** argv) {
     reg.set(k + ".p99_stall_us", static_cast<std::int64_t>(pt.p99_stall_us));
     reg.set(k + ".image_ok", static_cast<std::int64_t>(pt.image_ok ? 1 : 0));
   }
-  reg.set("zero_copy.frames_per_s_4rank", zc4);
-  reg.set("zero_copy.copy_path_frames_per_s_4rank", cp4);
-  reg.set("zero_copy.speedup_4rank", speedup);
   reg.set("saturate.frame_bytes", static_cast<std::int64_t>(sat_bytes));
   reg.set("saturate.frames", static_cast<std::int64_t>(sat_frames));
   reg.set("saturate.zero_copy.bytes_per_s", sat_zc_bps);
@@ -409,12 +376,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"procs\":%d,\"policy\":\"%s\",\"zero_copy\":%s,"
+                  "%s{\"procs\":%d,\"policy\":\"%s\","
                   "\"wall_s\":%.6f,\"frames\":%llu,\"bytes\":%llu,"
                   "\"frames_per_s\":%.1f,\"credit_stalls\":%llu,"
                   "\"p99_stall_us\":%llu,\"image_ok\":%s}",
-                  i ? "," : "", pt.ranks, pt.policy.c_str(),
-                  pt.zero_copy ? "true" : "false", pt.wall_s,
+                  i ? "," : "", pt.ranks, pt.policy.c_str(), pt.wall_s,
                   static_cast<unsigned long long>(pt.frames),
                   static_cast<unsigned long long>(pt.bytes), pt.frames_per_s,
                   static_cast<unsigned long long>(pt.credit_stalls),

@@ -34,9 +34,9 @@ struct ArenaStats {
   std::uint64_t pool_misses = 0;     ///< leases that had to allocate
   std::uint64_t bytes_leased = 0;    ///< sum of requested capacities
   /// Deliberate materializations of a DATA payload into fresh storage.
-  /// Zero on the zero-copy path by construction; the copy-path fallback
-  /// (DistributedOptions::copy_payloads) books every copy here, which is
-  /// how the differential tests prove the hot path stayed copy-free.
+  /// Zero on the engine's zero-copy path by construction; code that copies
+  /// a payload on purpose books it here, which is how the differential
+  /// tests prove the hot path stayed copy-free.
   std::uint64_t payload_copies = 0;
   std::uint64_t payload_copy_bytes = 0;
 

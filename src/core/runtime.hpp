@@ -33,8 +33,8 @@ struct RuntimeConfig {
 
   // ---- memory governor (ROADMAP item 3) ------------------------------------
   /// Per-host byte budget for queued stream buffers. 0 reproduces the legacy
-  /// fixed-window behavior exactly. Nonzero switches exec::Engine and
-  /// net::DistributedEngine into governed mode: every copy-set queue keeps a
+  /// fixed-window behavior exactly. Nonzero switches exec::Engine (single-
+  /// or multi-process) into governed mode: every copy-set queue keeps a
   /// floor of `window` slots and grows elastically into the budget; overflow
   /// spills to disk instead of stalling the producer, and is re-admitted in
   /// FIFO order so outputs stay bit-identical to the fixed-window baseline.

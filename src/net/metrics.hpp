@@ -11,8 +11,8 @@ class MetricsRegistry;
 
 namespace dc::net {
 
-/// Transport-level counters of one process's DistributedEngine: frames and
-/// bytes by direction, per-type frame counts, and producer-side credit
+/// Transport-level counters of one rank's exec::Engine: frames and bytes
+/// by direction, per-type frame counts, and producer-side credit
 /// stalls (dispatches that had to wait for a window slot freed by a CREDIT
 /// or ACK frame). Counters are atomics — the send / recv threads and every
 /// worker thread bump them concurrently; snapshot() flattens them for the

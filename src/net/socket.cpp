@@ -60,7 +60,6 @@ bool Socket::send_all(std::span<const std::byte> data) {
     const ssize_t n = ::send(fd_, p, left, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      last_errno_ = errno;
       return false;
     }
     p += n;
@@ -78,7 +77,6 @@ bool Socket::send_vecs(iovec* vecs, std::size_t count) {
     const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      last_errno_ = errno;
       return false;
     }
     // Consume n bytes across the iovecs: skip the fully written ones and
@@ -107,7 +105,6 @@ RecvStatus Socket::recv_exact(std::span<std::byte> data, std::size_t& got) {
     if (n == 0) return RecvStatus::kClosed;
     if (n < 0) {
       if (errno == EINTR) continue;
-      last_errno_ = errno;
       // A shutdown_both() from another thread surfaces as various errnos
       // depending on timing; all of them mean "stop reading".
       return RecvStatus::kError;

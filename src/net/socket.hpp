@@ -14,7 +14,7 @@ namespace dc::net {
 enum class RecvStatus {
   kOk,      ///< the requested bytes were read in full
   kClosed,  ///< orderly shutdown by the peer before (or mid-) read
-  kError    ///< socket error (errno captured in Socket::last_error())
+  kError    ///< socket error
 };
 
 /// Thin RAII wrapper over one file descriptor (a TCP socket here, but any
@@ -73,11 +73,8 @@ class Socket {
   /// message (some bytes, then EOF).
   RecvStatus recv_exact(std::span<std::byte> data, std::size_t& got);
 
-  [[nodiscard]] int last_error() const { return last_errno_; }
-
  private:
   int fd_ = -1;
-  int last_errno_ = 0;
 };
 
 /// Creates a TCP listener bound to 127.0.0.1:`port` (0 = ephemeral).

@@ -23,7 +23,7 @@ namespace {
 // the parent. Flat binary (same machine, same endianness by construction).
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kResultMagic = 0x52524346;  // "FCRR" (v3: governor)
+constexpr std::uint32_t kResultMagic = 0x34524346;  // "FCR4" (v4: instances)
 
 struct FileCloser {
   std::FILE* f = nullptr;
@@ -62,7 +62,7 @@ bool get_str(std::FILE* f, std::string& s) {
 /// Everything one rank reports back to the parent.
 struct RankResult {
   int rank = -1;
-  std::vector<int> uow_status;       ///< net::RunStatus per completed call
+  std::vector<int> uow_status;       ///< exec::RunStatus per completed call
   std::vector<double> per_uow;       ///< makespans
   std::string error;                 ///< first failure
   exec::Metrics metrics;             ///< this rank's local ledger
@@ -103,6 +103,35 @@ bool get_outcome(std::FILE* f, core::UowOutcome& o) {
   return true;
 }
 
+bool put_instance(std::FILE* f, const exec::InstanceMetrics& m) {
+  return put_pod(f, std::int32_t{m.filter}) &&
+         put_pod(f, std::int32_t{m.instance}) &&
+         put_pod(f, std::int32_t{m.host}) && put_str(f, m.host_class) &&
+         put_pod(f, m.work_ops) && put_pod(f, m.busy_time) &&
+         put_pod(f, m.stall_time) && put_pod(f, m.queue_wait_time) &&
+         put_pod(f, m.io_wait_time) && put_pod(f, m.buffers_in) &&
+         put_pod(f, m.buffers_out) && put_pod(f, m.bytes_in) &&
+         put_pod(f, m.bytes_out) && put_pod(f, m.disk_bytes) &&
+         put_pod(f, m.acks_sent);
+}
+
+bool get_instance(std::FILE* f, exec::InstanceMetrics& m) {
+  std::int32_t filter = 0, instance = 0, host = 0;
+  if (!get_pod(f, filter) || !get_pod(f, instance) || !get_pod(f, host) ||
+      !get_str(f, m.host_class) || !get_pod(f, m.work_ops) ||
+      !get_pod(f, m.busy_time) || !get_pod(f, m.stall_time) ||
+      !get_pod(f, m.queue_wait_time) || !get_pod(f, m.io_wait_time) ||
+      !get_pod(f, m.buffers_in) || !get_pod(f, m.buffers_out) ||
+      !get_pod(f, m.bytes_in) || !get_pod(f, m.bytes_out) ||
+      !get_pod(f, m.disk_bytes) || !get_pod(f, m.acks_sent)) {
+    return false;
+  }
+  m.filter = filter;
+  m.instance = instance;
+  m.host = host;
+  return true;
+}
+
 bool write_result(const std::string& path, const RankResult& r) {
   FileCloser fc{std::fopen(path.c_str(), "wb")};
   std::FILE* f = fc.f;
@@ -121,6 +150,9 @@ bool write_result(const std::string& path, const RankResult& r) {
   }
   ok = ok && put_pod(f, r.metrics.acks_total) &&
        put_pod(f, r.metrics.ack_bytes_total) && put_pod(f, r.metrics.makespan);
+  ok = ok &&
+       put_pod(f, static_cast<std::uint32_t>(r.metrics.instances.size()));
+  for (const auto& m : r.metrics.instances) ok = ok && put_instance(f, m);
   ok = ok && put_bytes(f, &r.net, sizeof(r.net));
   ok = ok && put_pod(f, static_cast<std::uint32_t>(r.outcomes.size()));
   for (std::size_t u = 0; ok && u < r.outcomes.size(); ++u) {
@@ -176,6 +208,12 @@ bool read_result(const std::string& path, RankResult& r) {
       !get_pod(f, r.metrics.ack_bytes_total) ||
       !get_pod(f, r.metrics.makespan)) {
     return false;
+  }
+  std::uint32_t ninst = 0;
+  if (!get_pod(f, ninst) || ninst > (1u << 20)) return false;
+  r.metrics.instances.resize(ninst);
+  for (auto& m : r.metrics.instances) {
+    if (!get_instance(f, m)) return false;
   }
   if (!get_bytes(f, &r.net, sizeof(r.net))) return false;
   std::uint32_t nout = 0;
@@ -241,20 +279,19 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
   // Every rank builds the identical graph + placement (deterministic from
   // the spec); the engine instantiates only this rank's copies.
   IsoApp app = opts.builder ? opts.builder(spec) : build_iso_app(spec);
-  net::DistributedOptions dopts;
+  exec::DistributedOptions dopts;
   dopts.barrier_timeout_s = opts.barrier_timeout_s;
-  dopts.copy_payloads = opts.copy_payloads;
 
   RankResult result;
   result.rank = env.rank;
   {
-    net::DistributedEngine eng(app.graph, app.placement, cfg, env.rank,
-                               env.num_ranks, std::move(peers), dopts);
+    exec::Engine eng(app.graph, app.placement, cfg, env.rank, env.num_ranks,
+                     std::move(peers), dopts);
     obs::TraceSession trace;
     if (!opts.trace_dir.empty()) eng.set_obs(&trace);
 
     for (int u = 0; u < uows; ++u) {
-      const net::UowResult r = eng.run_uow();
+      const exec::UowResult r = eng.run_uow_outcome();
       result.uow_status.push_back(static_cast<int>(r.status));
       result.per_uow.push_back(r.makespan);
       result.outcomes.push_back(r.outcome);
@@ -262,7 +299,7 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
         if (result.error.empty()) result.error = r.error;
         // Only a transport failure poisons the engine; an app-level abort
         // ends one UOW in lockstep and the next runs normally.
-        if (r.status == net::RunStatus::kTransportError) break;
+        if (r.status == exec::RunStatus::kTransportError) break;
       }
     }
     // Shut the links down BEFORE snapshotting: stop() flushes each outbox
@@ -286,16 +323,15 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
   if (!write_result(rank_file(dir, env.rank), result)) return 5;
   int rc = 0;
   for (int st : result.uow_status) {
-    if (st == static_cast<int>(net::RunStatus::kAborted)) rc = std::max(rc, 2);
-    if (st == static_cast<int>(net::RunStatus::kTransportError)) {
+    if (st == static_cast<int>(exec::RunStatus::kAborted)) rc = std::max(rc, 2);
+    if (st == static_cast<int>(exec::RunStatus::kTransportError)) {
       rc = std::max(rc, 3);
     }
   }
-  // Zero-copy enforcement: on the default path no DATA payload may have
-  // been materialized between production and the socket write. Every
-  // differential run doubles as the copy-counter regression test.
-  if (!opts.copy_payloads &&
-      core::BufferArena::global().stats().payload_copies > 0) {
+  // Zero-copy enforcement: no DATA payload may have been materialized
+  // between production and the socket write. Every differential run doubles
+  // as the copy-counter regression test.
+  if (core::BufferArena::global().stats().payload_copies > 0) {
     rc = std::max(rc, 6);
   }
   return rc;
@@ -377,6 +413,9 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
             rr.metrics.streams[s].message_bytes;
       }
     }
+    run.metrics.instances.insert(run.metrics.instances.end(),
+                                 rr.metrics.instances.begin(),
+                                 rr.metrics.instances.end());
     run.metrics.acks_total += rr.metrics.acks_total;
     run.metrics.ack_bytes_total += rr.metrics.ack_bytes_total;
     run.metrics.makespan = std::max(run.metrics.makespan, rr.metrics.makespan);

@@ -8,7 +8,7 @@
 #include "core/metrics.hpp"
 #include "core/runtime.hpp"
 #include "exec/metrics.hpp"
-#include "net/distributed.hpp"
+#include "exec/engine.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
 #include "viz/app.hpp"
@@ -28,13 +28,6 @@ struct DistributedRunOptions {
   /// Non-empty: rank result files go here (kept afterwards); otherwise a
   /// temp dir is used and removed.
   std::string result_dir;
-  /// Run the legacy copy path (every outbound DATA payload materialized —
-  /// net::DistributedOptions::copy_payloads). The differential tests run
-  /// both paths and require bit-identical results; the bench records the
-  /// throughput delta. When false (the default, zero-copy), each rank
-  /// additionally asserts at exit that the arena's payload-copy counter
-  /// stayed zero — exit code 6 if a copy crept back onto the hot path.
-  bool copy_payloads = false;
   /// App-construction hook: each rank calls it (instead of build_iso_app)
   /// to build its graph + placement + sink from the spec. Must be
   /// deterministic — every rank builds the identical app. The tiled
@@ -49,12 +42,14 @@ struct DistributedRenderRun {
   bool ok = false;  ///< every rank exited 0 with every UOW complete
   std::string error;                    ///< first failure description
   std::vector<net::RankStatus> ranks;   ///< process exit statuses
-  std::vector<int> uow_status;          ///< worst net::RunStatus per UOW
+  std::vector<int> uow_status;          ///< worst exec::RunStatus per UOW
   std::vector<double> per_uow;          ///< merge-rank wall makespans
   std::vector<std::uint64_t> digests;   ///< merged image digests, per UOW
   std::vector<Image> images;            ///< merged images (keep_images)
-  /// Stream / ack ledgers summed across every rank's local instances; for
-  /// the same spec + config + seed these match exec::Engine's exactly.
+  /// Every rank's instance metrics, and the stream / ack ledgers summed
+  /// across ranks. For the same spec + config + seed the ledgers match a
+  /// single-process exec::Engine's exactly, and on single-copy chains so do
+  /// the per-instance counters.
   exec::Metrics metrics;
   net::NetMetricsSnapshot net;  ///< transport counters summed across ranks
   /// Per-UOW fault outcomes, aggregated across ranks: worst status, max
@@ -76,8 +71,10 @@ struct DistributedRenderRun {
 /// Renders `uows` timesteps of `spec` on `num_ranks` cooperating OS
 /// processes (one per simulated host) connected by the dc::net transport.
 /// The parent forks the ranks, each builds the identical graph + placement,
-/// runs net::DistributedEngine in lockstep, and reports back through a
-/// per-rank result file; the parent aggregates. Must be called from a
+/// runs its rank of exec::Engine in lockstep, and reports back through a
+/// per-rank result file; the parent aggregates. Every rank checks at exit
+/// that the arena's payload-copy counter stayed zero — exit code 6 if a
+/// copy crept onto the zero-copy data path. Must be called from a
 /// single-threaded process (fork semantics).
 DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
                                              const core::RuntimeConfig& cfg,

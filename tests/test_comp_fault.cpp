@@ -13,7 +13,7 @@
 #include "comp/app.hpp"
 #include "comp/tile_map.hpp"
 #include "core/runtime.hpp"
-#include "net/distributed.hpp"
+#include "exec/engine.hpp"
 #include "net/process.hpp"
 #include "test_util.hpp"
 #include "viz/app.hpp"
@@ -61,23 +61,23 @@ int tiled_rank_main(net::RankEnv& env, const ChildParams& pp) {
   comp::TiledApp app = comp::build_tiled_iso_app(*pp.spec, *pp.comp);
   core::RuntimeConfig cfg = pp.cfg;
   cfg.detection = core::FailureDetection::kMembership;
-  net::DistributedOptions dopts;
+  exec::DistributedOptions dopts;
   dopts.barrier_timeout_s = 30.0;
   dopts.heartbeat_interval_s = 0.02;
   dopts.peer_timeout_s = 0.5;
-  net::DistributedEngine eng(app.app.graph, app.app.placement, cfg, env.rank,
-                             env.num_ranks, std::move(peers), dopts);
+  exec::Engine eng(app.app.graph, app.app.placement, cfg, env.rank,
+                   env.num_ranks, std::move(peers), dopts);
   if (env.fault != nullptr) eng.set_fault_cell(env.fault);
 
-  std::vector<net::UowResult> results;
+  std::vector<exec::UowResult> results;
   for (int u = 0; u < pp.uows; ++u) {
-    results.push_back(eng.run_uow());
-    if (results.back().status == net::RunStatus::kTransportError) break;
+    results.push_back(eng.run_uow_outcome());
+    if (results.back().status == exec::RunStatus::kTransportError) break;
   }
   eng.shutdown();
 
   std::ofstream out(pp.dir + "/rank" + std::to_string(env.rank) + ".txt");
-  for (const net::UowResult& r : results) {
+  for (const exec::UowResult& r : results) {
     out << "uow " << static_cast<int>(r.status) << ' '
         << static_cast<int>(r.outcome.status) << ' ' << r.outcome.failovers
         << ' ' << r.outcome.buffers_lost << '\n';

@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -12,7 +14,6 @@
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
 #include "exec/engine.hpp"
-#include "net/distributed.hpp"
 #include "net/process.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
@@ -21,8 +22,8 @@
 #include "viz/distributed.hpp"
 
 // Distributed differential harness: 2-4 real OS processes connected by the
-// dc::net TCP transport render the same workload as the in-process native
-// engine (exec::Engine) with the same graph, placement, and seed — the
+// dc::net TCP transport render the same workload as a single-process
+// exec::Engine with the same graph, placement, and seed — the
 // merged images must be BIT-IDENTICAL, and on single-copy chains the full
 // stream/ack ledgers must match entry for entry.
 //
@@ -147,9 +148,10 @@ TEST_F(NetDifferential, MultiUowLockstepMatchesNative) {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger parity: on single-copy chains the per-stream ledger is
-// deterministic; the distributed ledger (summed across ranks) must match
-// the native engine's exactly, including DD ack accounting.
+// Ledger parity: on single-copy chains the per-stream ledger and every
+// instance's counters are deterministic; the distributed ledger (summed
+// across ranks) and the per-instance counters must match the native
+// engine's exactly, including DD ack accounting.
 // ---------------------------------------------------------------------------
 
 TEST_F(NetDifferential, SingleCopyChainLedgerAndAcksMatchNative) {
@@ -186,6 +188,36 @@ TEST_F(NetDifferential, SingleCopyChainLedgerAndAcksMatchNative) {
     }
     EXPECT_EQ(dist.metrics.acks_total, nat.metrics.acks_total);
     EXPECT_EQ(dist.metrics.ack_bytes_total, nat.metrics.ack_bytes_total);
+
+    // Per-instance counters survive the trip back from the ranks: every
+    // (filter, instance) of the native run appears once in the distributed
+    // metrics with the same deterministic counters.
+    using Key = std::pair<int, int>;
+    std::map<Key, exec::InstanceMetrics> native_by_copy;
+    for (const auto& m : nat.metrics.instances) {
+      native_by_copy[{m.filter, m.instance}] = m;
+    }
+    std::map<Key, exec::InstanceMetrics> dist_by_copy;
+    for (const auto& m : dist.metrics.instances) {
+      EXPECT_TRUE(dist_by_copy.emplace(Key{m.filter, m.instance}, m).second)
+          << "filter " << m.filter << " instance " << m.instance
+          << " reported twice";
+    }
+    ASSERT_EQ(dist_by_copy.size(), native_by_copy.size());
+    for (const auto& [key, n] : native_by_copy) {
+      SCOPED_TRACE("filter " + std::to_string(key.first) + " instance " +
+                   std::to_string(key.second));
+      const auto it = dist_by_copy.find(key);
+      ASSERT_NE(it, dist_by_copy.end());
+      const exec::InstanceMetrics& d = it->second;
+      EXPECT_EQ(d.buffers_in, n.buffers_in);
+      EXPECT_EQ(d.buffers_out, n.buffers_out);
+      EXPECT_EQ(d.bytes_in, n.bytes_in);
+      EXPECT_EQ(d.bytes_out, n.bytes_out);
+      EXPECT_EQ(d.work_ops, n.work_ops);
+      EXPECT_EQ(d.disk_bytes, n.disk_bytes);
+      EXPECT_EQ(d.acks_sent, n.acks_sent);
+    }
     if (pol == core::Policy::kDemandDriven) {
       // Cross-process demand: the DD acks for remote producers really
       // travelled as ACK frames.
@@ -241,11 +273,11 @@ class CountSource : public core::SourceFilter {
   int i_ = 0;
 };
 
-int run_status_to_exit(net::RunStatus st) {
+int run_status_to_exit(exec::RunStatus st) {
   switch (st) {
-    case net::RunStatus::kComplete: return 0;
-    case net::RunStatus::kAborted: return 2;
-    case net::RunStatus::kTransportError: return 3;
+    case exec::RunStatus::kComplete: return 0;
+    case exec::RunStatus::kAborted: return 2;
+    case exec::RunStatus::kTransportError: return 3;
   }
   return 9;
 }
@@ -268,11 +300,11 @@ TEST(NetDifferentialAbort, ThrowingFilterTerminatesEveryProcessStructured) {
 
         core::RuntimeConfig cfg;
         cfg.policy = core::Policy::kRoundRobin;
-        net::DistributedOptions dopts;
+        exec::DistributedOptions dopts;
         dopts.barrier_timeout_s = 30.0;
-        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                                   std::move(peers), dopts);
-        const net::UowResult r = eng.run_uow();
+        exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                         std::move(peers), dopts);
+        const exec::UowResult r = eng.run_uow_outcome();
         // No rank may report success: rank 1's filter threw, so rank 1 is
         // kAborted locally and the others observe the ABORT broadcast (or,
         // in teardown races, a transport close) before completing.
@@ -318,14 +350,14 @@ TEST(NetDifferentialAbort, AbortedUowDoesNotPoisonNextUow) {
 
         core::RuntimeConfig cfg;
         cfg.policy = core::Policy::kRoundRobin;
-        net::DistributedOptions dopts;
+        exec::DistributedOptions dopts;
         dopts.barrier_timeout_s = 30.0;
-        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                                   std::move(peers), dopts);
-        const net::UowResult first = eng.run_uow();
-        const net::UowResult second = eng.run_uow();
-        if (first.status != net::RunStatus::kAborted) return 4;
-        if (second.status != net::RunStatus::kComplete) return 5;
+        exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                         std::move(peers), dopts);
+        const exec::UowResult first = eng.run_uow_outcome();
+        const exec::UowResult second = eng.run_uow_outcome();
+        if (first.status != exec::RunStatus::kAborted) return 4;
+        if (second.status != exec::RunStatus::kComplete) return 5;
         return 0;
       },
       net::LaunchOptions{/*timeout_s=*/60.0});
@@ -371,11 +403,11 @@ TEST(NetDifferentialCorrupt, GarbageOnTheWireTerminatesStructured) {
         p.place(src, 1, 1).place(sink, 0, 1);
 
         core::RuntimeConfig cfg;
-        net::DistributedOptions dopts;
+        exec::DistributedOptions dopts;
         dopts.barrier_timeout_s = 30.0;
-        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                                   std::move(peers), dopts);
-        const net::UowResult r = eng.run_uow();
+        exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                         std::move(peers), dopts);
+        const exec::UowResult r = eng.run_uow_outcome();
         return run_status_to_exit(r.status);
       },
       net::LaunchOptions{/*timeout_s=*/60.0});
@@ -421,11 +453,11 @@ TEST(NetDifferentialCorrupt, FarFutureUowFrameTerminatesStructured) {
         p.place(src, 1, 1).place(sink, 0, 1);
 
         core::RuntimeConfig cfg;
-        net::DistributedOptions dopts;
+        exec::DistributedOptions dopts;
         dopts.barrier_timeout_s = 30.0;
-        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                                   std::move(peers), dopts);
-        const net::UowResult r = eng.run_uow();
+        exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                         std::move(peers), dopts);
+        const exec::UowResult r = eng.run_uow_outcome();
         return run_status_to_exit(r.status);
       },
       net::LaunchOptions{/*timeout_s=*/60.0});
@@ -460,11 +492,11 @@ TEST(NetDifferentialCorrupt, PeerDeathMidRunTerminatesStructured) {
         p.place(src, 1, 1).place(sink, 0, 1);
 
         core::RuntimeConfig cfg;
-        net::DistributedOptions dopts;
+        exec::DistributedOptions dopts;
         dopts.barrier_timeout_s = 30.0;
-        net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                                   std::move(peers), dopts);
-        const net::UowResult r = eng.run_uow();
+        exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                         std::move(peers), dopts);
+        const exec::UowResult r = eng.run_uow_outcome();
         return run_status_to_exit(r.status);
       },
       net::LaunchOptions{/*timeout_s=*/60.0});
@@ -489,15 +521,14 @@ TEST_F(NetDifferential, SingleProcessDegenerateMatchesNative) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy equivalence: the arena-backed zero-copy DATA path (the default)
-// and the legacy deep-copy path must be BIT-IDENTICAL — images, digests,
-// and stream ledgers — across 1, 2, and 4 ranks. The zero-copy runs also
-// enforce the copy counter: any rank that materialized a payload on the hot
-// path exits 6 and fails the run. This is the end-to-end proof that the
-// refactor changed how bytes move, not what arrives.
+// Zero-copy data path: across 1, 2, and 4 ranks, the arena-backed DATA path
+// renders BIT-IDENTICAL images and moves identical stream ledgers to the
+// in-process native engine. Every run also enforces the copy counter: any
+// rank that materialized a payload on the hot path exits 6 and fails the
+// run — the end-to-end proof that bytes cross the wire without a copy.
 // ---------------------------------------------------------------------------
 
-TEST_F(NetDifferential, ZeroCopyAndCopyPathsAreBitIdentical) {
+TEST_F(NetDifferential, ZeroCopyPathMatchesNativeAtOneTwoFourRanks) {
   for (int ranks : {1, 2, 4}) {
     // Hosts must exist as ranks: scale the placement with the rank count.
     auto s = ranks == 1
@@ -522,33 +553,23 @@ TEST_F(NetDifferential, ZeroCopyAndCopyPathsAreBitIdentical) {
 
       viz::DistributedRunOptions zc;
       zc.timeout_s = kGroupTimeout;
-      zc.copy_payloads = false;  // default, spelled out: arena zero-copy
       const viz::DistributedRenderRun zrun =
           viz::run_iso_app_distributed(s, cfg, 1, ranks, zc);
       ASSERT_TRUE(zrun.ok) << zrun.error;
 
-      viz::DistributedRunOptions cp;
-      cp.timeout_s = kGroupTimeout;
-      cp.copy_payloads = true;  // legacy deep-copy baseline
-      const viz::DistributedRenderRun crun =
-          viz::run_iso_app_distributed(s, cfg, 1, ranks, cp);
-      ASSERT_TRUE(crun.ok) << crun.error;
-
-      // Both paths match the native engine — and therefore each other.
       EXPECT_EQ(zrun.digests, nat.sink->digests);
-      EXPECT_EQ(crun.digests, nat.sink->digests);
-      ASSERT_EQ(zrun.images.size(), crun.images.size());
+      ASSERT_EQ(zrun.images.size(), nat.sink->images.size());
       for (std::size_t u = 0; u < zrun.images.size(); ++u) {
-        EXPECT_EQ(zrun.images[u], crun.images[u]) << "uow " << u;
+        EXPECT_EQ(zrun.images[u], nat.sink->images[u]) << "uow " << u;
       }
-      // Ledgers too: zero-copy must not change what flowed, only how.
-      ASSERT_EQ(zrun.metrics.streams.size(), crun.metrics.streams.size());
+      // Ledgers too: the wire must not change what flowed, only how.
+      ASSERT_EQ(zrun.metrics.streams.size(), nat.metrics.streams.size());
       for (std::size_t i = 0; i < zrun.metrics.streams.size(); ++i) {
         EXPECT_EQ(zrun.metrics.streams[i].buffers,
-                  crun.metrics.streams[i].buffers)
+                  nat.metrics.streams[i].buffers)
             << zrun.metrics.streams[i].name;
         EXPECT_EQ(zrun.metrics.streams[i].payload_bytes,
-                  crun.metrics.streams[i].payload_bytes)
+                  nat.metrics.streams[i].payload_bytes)
             << zrun.metrics.streams[i].name;
       }
     }

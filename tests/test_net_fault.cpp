@@ -24,7 +24,7 @@
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
-#include "net/distributed.hpp"
+#include "exec/engine.hpp"
 #include "net/process.hpp"
 #include "net/transport.hpp"
 #include "sim/cluster.hpp"
@@ -215,26 +215,25 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
   core::RuntimeConfig cfg;
   cfg.policy = pp.policy;
   cfg.detection = core::FailureDetection::kMembership;
-  net::DistributedOptions dopts;
+  exec::DistributedOptions dopts;
   dopts.barrier_timeout_s = 20.0;
   dopts.heartbeat_interval_s = 0.02;
   dopts.peer_timeout_s = pp.peer_timeout_s;
   dopts.replace_dead = pp.replace_dead;
-  net::DistributedEngine eng(g, p, cfg, env.rank, env.num_ranks,
-                             std::move(peers), dopts);
+  exec::Engine eng(g, p, cfg, env.rank, env.num_ranks, std::move(peers), dopts);
   if (cell != nullptr) eng.set_fault_cell(cell);
 
-  std::vector<net::UowResult> results;
+  std::vector<exec::UowResult> results;
   for (int u = 0; u < pp.uows; ++u) {
     *cur_uow = u;
-    results.push_back(eng.run_uow());
-    if (results.back().status == net::RunStatus::kTransportError) break;
+    results.push_back(eng.run_uow_outcome());
+    if (results.back().status == exec::RunStatus::kTransportError) break;
   }
   eng.shutdown();
   const core::FaultMetrics fm = eng.fault_metrics();
 
   std::ofstream out(pp.dir + "/rank" + std::to_string(env.rank) + ".txt");
-  for (const net::UowResult& r : results) {
+  for (const exec::UowResult& r : results) {
     out << "uow " << static_cast<int>(r.status) << ' '
         << static_cast<int>(r.outcome.status) << ' ' << r.outcome.failovers
         << ' ' << r.outcome.retransmits << ' ' << r.outcome.buffers_lost
@@ -256,7 +255,7 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
 }
 
 struct UowRec {
-  int run_status = -1;  ///< net::RunStatus as int
+  int run_status = -1;  ///< exec::RunStatus as int
   core::UowOutcome outcome;
 };
 

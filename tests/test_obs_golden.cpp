@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -14,13 +15,16 @@
 #include "io/chunk_store.hpp"
 #include "io/format.hpp"
 #include "io/reader.hpp"
+#include "net/process.hpp"
+#include "net/transport.hpp"
 #include "obs/chrome.hpp"
 #include "obs/json.hpp"
 #include "obs/recorder.hpp"
 #include "test_util.hpp"
 #include "viz/app.hpp"
 
-// Golden tests of the obs event stream on BOTH engines, plus structural
+// Golden tests of the obs event stream on the simulator and the threaded
+// engine (single-process and one rank per host), plus structural
 // validation of the Chrome trace-event export.
 //
 // The goldens compare tags, kinds, and per-lane ordering — NEVER times and
@@ -93,11 +97,16 @@ void build_pipeline(core::Graph& g, core::Placement& p) {
 }
 
 /// Normalizes a session: per-track sections in label order, "<kind> <name>"
-/// lines in seq order, minus `excluded` tags.
+/// lines in seq order, minus `excluded` tags and minus the tracks whose
+/// label starts with `skipped_prefix` (when non-empty).
 std::string normalize(const obs::TraceSession& session,
-                      const std::set<std::string>& excluded = {}) {
+                      const std::set<std::string>& excluded = {},
+                      const std::string& skipped_prefix = "") {
   std::ostringstream out;
   for (const obs::Track* tk : session.tracks()) {
+    if (!skipped_prefix.empty() && tk->label().rfind(skipped_prefix, 0) == 0) {
+      continue;
+    }
     out << "== " << tk->label() << '\n';
     for (const obs::Event& e : tk->events()) {
       if (excluded.count(e.name) != 0) continue;
@@ -167,6 +176,64 @@ TEST(ObsGolden, NativeEventStreamMatchesGolden) {
   // scheduling, so their counts vary run to run. Everything else is exact.
   check_against_golden(normalize(session, {"stall", "push.wait"}),
                        "obs_native_trace.txt");
+}
+
+TEST(ObsGolden, DistributedEventStreamMatchesNativeGolden) {
+  // The same pipeline on three rank processes, one host each: every rank's
+  // workers emit the native per-copy events, so the merged per-track
+  // sections reproduce the single-process golden exactly. The net:* tracks
+  // (wire spans, credit stalls) exist only here and are left out.
+  if (std::getenv("DC_UPDATE_GOLDEN") != nullptr) {
+    GTEST_SKIP() << "obs_native_trace.txt is regenerated by the native test";
+  }
+  const fs::path dir = fs::temp_directory_path() / "dc_obs_golden_ranks";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto statuses = net::run_local_ranks(
+      3,
+      [&dir](net::RankEnv& env) {
+        std::vector<net::Socket> peers = net::connect_mesh(env, 30.0);
+        env.listener.close();
+        core::Graph g;
+        core::Placement p;
+        build_pipeline(g, p);
+        core::RuntimeConfig cfg;
+        cfg.policy = core::Policy::kDemandDriven;
+        obs::TraceSession session;
+        {
+          exec::Engine eng(g, p, cfg, env.rank, env.num_ranks,
+                           std::move(peers));
+          eng.set_obs(&session);
+          if (!eng.run_uow_outcome().ok()) return 2;
+        }  // links stopped: no thread still records into the session
+        std::ofstream out(dir / ("rank" + std::to_string(env.rank) + ".txt"));
+        out << normalize(session, {"stall", "push.wait"}, "net:");
+        return out.good() ? 0 : 3;
+      },
+      net::LaunchOptions{/*timeout_s=*/60.0});
+
+  // Merge the ranks' sections back into one label-ordered stream.
+  std::map<std::string, std::string> sections;
+  for (int r = 0; r < 3; ++r) {
+    const auto& st = statuses[static_cast<std::size_t>(r)];
+    ASSERT_TRUE(st.ok()) << "rank " << r << " exit " << st.exit_code << ": "
+                         << st.stderr_output;
+    std::ifstream in(dir / ("rank" + std::to_string(r) + ".txt"));
+    std::string line;
+    std::string* body = nullptr;
+    while (std::getline(in, line)) {
+      if (line.rfind("== ", 0) == 0) {
+        ASSERT_EQ(sections.count(line), 0u) << line << " on two ranks";
+        body = &sections[line];
+      }
+      ASSERT_NE(body, nullptr) << "event outside a track section";
+      *body += line + '\n';
+    }
+  }
+  fs::remove_all(dir);
+  std::string merged;
+  for (const auto& [label, body] : sections) merged += body;
+  check_against_golden(merged, "obs_native_trace.txt");
 }
 
 TEST(ObsGolden, SimulatorStreamIsReproducible) {
