@@ -70,7 +70,8 @@ ChunkStoreWriter::OpenFile& ChunkStoreWriter::file_for(data::FileLocation loc,
 
 void ChunkStoreWriter::put_chunk(data::FileLocation loc, int file_id, int chunk,
                                  int timestep,
-                                 std::span<const std::byte> payload) {
+                                 std::span<const std::byte> payload,
+                                 ValueRange range) {
   if (finished_) {
     throw std::logic_error("ChunkStoreWriter: put_chunk after finish");
   }
@@ -84,6 +85,8 @@ void ChunkStoreWriter::put_chunk(data::FileLocation loc, int file_id, int chunk,
   e.offset = f.cursor;
   e.bytes = payload.size();
   e.checksum = payload_checksum(payload);
+  e.min_value = range.min;
+  e.max_value = range.max;
   f.out.write(reinterpret_cast<const char*>(payload.data()),
               static_cast<std::streamsize>(payload.size()));
   f.cursor += payload.size();
@@ -138,8 +141,8 @@ void materialize_dataset(const std::filesystem::path& root,
       const int file_id = store.file_of_chunk(c);
       const data::FileLocation loc = store.location_of_file(file_id);
       payload.clear();
-      produce(c, t, payload);
-      writer.put_chunk(loc, file_id, c, t, payload);
+      const ValueRange range = produce(c, t, payload);
+      writer.put_chunk(loc, file_id, c, t, payload, range);
     }
   }
   writer.finish();
@@ -157,6 +160,7 @@ void materialize_plume_dataset(const std::filesystem::path& root,
                          samples);
         const auto* begin = reinterpret_cast<const std::byte*>(samples.data());
         out.assign(begin, begin + samples.size() * sizeof(float));
+        return value_range(samples);
       },
       base_timestep, num_timesteps);
 }
@@ -205,8 +209,9 @@ void ChunkStore::load_file(const std::filesystem::path& path) {
     throw std::runtime_error("ChunkStore: bad magic in " + path.string());
   }
   if (h.version != kFormatVersion) {
-    // Explicit, structured rejection: a v1 file (FNV-1a checksums) must
-    // name the version mismatch, not surface as a checksum mystery.
+    // Explicit, structured rejection: a v1 file (FNV-1a checksums) or a v2
+    // file (no value ranges, 32-byte index entries) must name the version
+    // mismatch, not surface as a checksum mystery.
     throw std::runtime_error(
         "ChunkStore: incompatible format version " +
         std::to_string(h.version) + " (expected " +
@@ -252,6 +257,7 @@ void ChunkStore::load_file(const std::filesystem::path& path) {
     handle.checksum = e.checksum;
     handle.disk_index = disk_index;
     handle.file_id = h.file_id;
+    handle.range = ValueRange{e.min_value, e.max_value};
     if (!index_.emplace(key_of(e.chunk, e.timestep), handle).second) {
       throw std::runtime_error("ChunkStore: duplicate chunk across files in " +
                                path.string());

@@ -26,11 +26,13 @@ struct DiskId {
 /// on-disk format of io/format.hpp. Usage:
 ///
 ///   ChunkStoreWriter w(root);
-///   w.put_chunk(loc, file_id, chunk, timestep, bytes);  // any order
-///   w.finish();                                         // throws on failure
+///   w.put_chunk(loc, file_id, chunk, timestep, bytes, range);  // any order
+///   w.finish();                                    // throws on failure
 ///
 /// Chunks belonging to one dataset file must all carry that file's location;
-/// a (chunk, timestep) pair may be written at most once per file.
+/// a (chunk, timestep) pair may be written at most once per file. `range` is
+/// the payload's value range (value_range() of its float samples); it
+/// defaults to the open range, which no reader ever skips.
 class ChunkStoreWriter {
  public:
   explicit ChunkStoreWriter(std::filesystem::path root);
@@ -40,7 +42,7 @@ class ChunkStoreWriter {
   ChunkStoreWriter& operator=(const ChunkStoreWriter&) = delete;
 
   void put_chunk(data::FileLocation loc, int file_id, int chunk, int timestep,
-                 std::span<const std::byte> payload);
+                 std::span<const std::byte> payload, ValueRange range = {});
 
   /// Writes every index + header and closes all files. Must be called
   /// exactly once; throws std::runtime_error if any stream failed.
@@ -57,9 +59,10 @@ class ChunkStoreWriter {
   bool finished_ = false;
 };
 
-/// Produces the payload of (chunk, timestep) during materialization.
-using ChunkProducer =
-    std::function<void(int chunk, int timestep, std::vector<std::byte>& out)>;
+/// Produces the payload of (chunk, timestep) during materialization and
+/// returns its value range (the open range `{}` when it has none).
+using ChunkProducer = std::function<ValueRange(int chunk, int timestep,
+                                               std::vector<std::byte>& out)>;
 
 /// Materializes a data::DatasetStore's placement into an on-disk tree under
 /// `root`: every chunk of every timestep in [base_timestep,
@@ -72,7 +75,7 @@ void materialize_dataset(const std::filesystem::path& root,
 
 /// Convenience producer: PlumeField samples, bit-identical to
 /// data::PlumeField::fill_chunk (so an out-of-core render reproduces the
-/// in-memory images exactly).
+/// in-memory images exactly), each indexed with its value range.
 void materialize_plume_dataset(const std::filesystem::path& root,
                                const data::DatasetStore& store,
                                const data::PlumeField& field, int base_timestep,
@@ -99,6 +102,7 @@ class ChunkStore {
     std::uint64_t checksum = 0;
     int disk_index = 0;  ///< dense index into disks()
     int file_id = -1;
+    ValueRange range;  ///< the payload's samples, from the index
   };
 
   /// Throws std::out_of_range if the pair is not in the store.

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -32,8 +34,13 @@ namespace dc::io {
 /// unchanged 64-bit fields, so the layout is byte-compatible with v1 while
 /// the digests are not. A v1 file is rejected explicitly by version number
 /// ("incompatible format version"), never misdiagnosed as corruption.
+///
+/// Format version 3: every index entry also records its payload's value
+/// range (ValueRange), so a reader can skip a chunk an isosurface cannot
+/// cross without reading it. A v2 file is rejected by version number the
+/// same way.
 inline constexpr std::uint32_t kMagic = 0x31534344;  // "DCS1" little-endian
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr const char* kFileExtension = ".dcc";
 
 /// CRC32C of a payload, widened to the format's 64-bit checksum fields.
@@ -75,6 +82,32 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 64);
 
+/// The smallest and largest float sample of a payload. The default is the
+/// open range (-inf, +inf), stored for payloads that are not float samples
+/// (the external sort's record runs): it excludes nothing.
+struct ValueRange {
+  float min = -std::numeric_limits<float>::infinity();
+  float max = std::numeric_limits<float>::infinity();
+  bool operator==(const ValueRange&) const = default;
+};
+
+/// The range of `samples`. A NaN sample compares false against every iso
+/// value, like a sample above all of them, so it is recorded as max = +inf.
+/// No samples give the empty range (+inf, -inf).
+[[nodiscard]] inline ValueRange value_range(std::span<const float> samples) {
+  ValueRange r{std::numeric_limits<float>::infinity(),
+               -std::numeric_limits<float>::infinity()};
+  for (float v : samples) {
+    if (std::isnan(v)) {
+      r.max = std::numeric_limits<float>::infinity();
+      continue;
+    }
+    if (v < r.min) r.min = v;
+    if (v > r.max) r.max = v;
+  }
+  return r;
+}
+
 /// One chunk payload within a file, keyed by (chunk, timestep).
 struct ChunkIndexEntry {
   std::int32_t chunk = -1;
@@ -82,8 +115,11 @@ struct ChunkIndexEntry {
   std::uint64_t offset = 0;  ///< absolute byte offset of the payload
   std::uint64_t bytes = 0;
   std::uint64_t checksum = 0;  ///< CRC32C over the payload
+  /// The payload's ValueRange (v3).
+  float min_value = -std::numeric_limits<float>::infinity();
+  float max_value = std::numeric_limits<float>::infinity();
 };
-static_assert(sizeof(ChunkIndexEntry) == 32);
+static_assert(sizeof(ChunkIndexEntry) == 40);
 
 /// Relative path of one store file below the root.
 [[nodiscard]] inline std::string file_relpath(int host, int disk, int file_id) {

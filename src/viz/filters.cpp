@@ -68,13 +68,21 @@ std::vector<data::ChunkRef> local_chunks(const VizWorkload& w, int host, int cop
 void ChunkPlan::open(const VizWorkload& w, const core::FilterContext& ctx) {
   chunks = local_chunks(w, ctx.host(), ctx.copy_in_host(), ctx.copies_on_host());
   next = 0;
-  if (w.reader == nullptr) return;
+  if (w.reader == nullptr) return;  // in memory: every chunk, as in the paper
+  const int timestep = static_cast<int>(w.timestep(ctx.uow_index()));
+  // Out of core, the index's value ranges drop every chunk the isosurface
+  // cannot cross before any of them is read. A chunk missing from the store
+  // stays, so its read throws as before.
+  const io::ChunkStore& store = w.reader->store();
+  std::erase_if(chunks, [&](const data::ChunkRef& ref) {
+    if (!store.contains(ref.chunk, timestep)) return false;
+    const io::ValueRange& r = store.handle(ref.chunk, timestep).range;
+    return !iso_can_cross(r.min, r.max, w.iso_value);
+  });
   std::vector<int> ids;
   ids.reserve(chunks.size());
   for (const data::ChunkRef& ref : chunks) ids.push_back(ref.chunk);
-  stream = io::ReadStream(*w.reader, std::move(ids),
-                          static_cast<int>(w.timestep(ctx.uow_index())),
-                          w.prefetch_depth);
+  stream = io::ReadStream(*w.reader, std::move(ids), timestep, w.prefetch_depth);
 }
 
 ChunkSamples load_chunk_samples(const VizWorkload& w, io::ReadStream* stream,

@@ -88,6 +88,8 @@ struct RenderSink {
 
 /// One Read-side copy's work for the current UOW: its share of the host's
 /// chunks in plan order and, out of core, the io::ReadStream fetching them.
+/// Out of core the plan holds only the chunks whose stored value range the
+/// isosurface can cross (iso_can_cross); in memory it holds every chunk.
 struct ChunkPlan {
   std::vector<data::ChunkRef> chunks;
   std::size_t next = 0;

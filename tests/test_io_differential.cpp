@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -87,14 +88,17 @@ struct IoDifferential : ::testing::Test {
 
   /// Runs the native engine in-memory and out-of-core and asserts
   /// bit-identical images (and both identical to the reference renderer).
+  /// With `reads` set, it receives the out-of-core run's read calls.
   void expect_ooc_identical(viz::IsoAppSpec s, const core::RuntimeConfig& cfg,
-                            int uows = 1, int prefetch_depth = 2) {
+                            int uows = 1, int prefetch_depth = 2,
+                            std::uint64_t* reads = nullptr) {
     ASSERT_NE(reader, nullptr) << "materialize() first";
     s.workload.reader = nullptr;
     const viz::NativeRenderRun mem = viz::run_iso_app_native(s, cfg, uows);
 
     s.workload.reader = reader.get();
     s.workload.prefetch_depth = prefetch_depth;
+    const std::uint64_t reads_before = reader->metrics().read_calls;
     const viz::NativeRenderRun ooc = viz::run_iso_app_native(s, cfg, uows);
 
     ASSERT_EQ(mem.sink->images.size(), static_cast<std::size_t>(uows));
@@ -107,6 +111,10 @@ struct IoDifferential : ::testing::Test {
       EXPECT_EQ(ooc.sink->digests[static_cast<std::size_t>(u)],
                 test::direct_render(s.workload, u).digest())
           << "uow " << u;
+    }
+    if (reads != nullptr) {
+      *reads = reader->metrics().read_calls - reads_before;
+      return;
     }
     // The out-of-core run really went through the storage subsystem.
     const io::IoMetrics m = reader->metrics();
@@ -255,6 +263,104 @@ TEST_F(IoDifferential, PerDiskReadaheadEveryReadFilterTwoDisksPerHost) {
       EXPECT_EQ(ooc.buffers_lost, mem.buffers_lost);
       EXPECT_EQ(ooc.buffers_duplicated, mem.buffers_duplicated);
     }
+  }
+}
+
+// ---- value-range pruning: exact on every Read-side filter -----------------
+
+/// (chunk, timestep) pairs of timesteps [0, uows) from which marching cubes
+/// extracts at least one triangle at `iso`: the chunks the surface crosses.
+std::uint64_t crossing_pairs(const test::TestDataset& ds, int uows, float iso) {
+  std::uint64_t n = 0;
+  std::vector<float> samples;
+  std::vector<viz::Triangle> tris;
+  for (int t = 0; t < uows; ++t) {
+    for (int c = 0; c < ds.layout.num_chunks(); ++c) {
+      const data::CellBox box = ds.layout.chunk_box(c);
+      ds.field->fill_chunk(ds.layout, c, static_cast<float>(t), samples);
+      tris.clear();
+      viz::marching_cubes(samples.data(), box.hi[0] - box.lo[0],
+                          box.hi[1] - box.lo[1], box.hi[2] - box.lo[2], 0, 0, 0,
+                          iso, tris);
+      if (!tris.empty()) ++n;
+    }
+  }
+  return n;
+}
+
+TEST_F(IoDifferential, ValueRangePruningIsExactOnEveryReadFilter) {
+  // Out of core, ChunkPlan reads only the chunks whose stored range the
+  // isosurface can cross, so a chunk of a UOW costs one read call iff
+  // marching cubes extracts a triangle from it; the images stay
+  // bit-identical to the in-memory run, which reads every chunk.
+  // 3^3 chunks at the default iso: every chunk crosses, nothing is pruned.
+  // 6^3 chunks: the default iso prunes some; an iso below the field minimum
+  // (no sample below it) or above its maximum (every sample below it)
+  // prunes all, so the UOWs complete with background frames and no reads.
+  constexpr int kUows = 2;
+  core::RuntimeConfig cfg;
+  cfg.policy = core::Policy::kDemandDriven;
+  for (int chunks : {3, 6}) {
+    ds = test::make_dataset(24, chunks, 16);
+    place_uniform({0, 1}, /*disks=*/2);
+    materialize("pruning_" + std::to_string(chunks), kUows);
+    const int num_chunks = ds.layout.num_chunks();
+    const std::uint64_t all_pairs =
+        static_cast<std::uint64_t>(num_chunks) * kUows;
+    float lo = store->handle(0, 0).range.min;
+    float hi = store->handle(0, 0).range.max;
+    for (int t = 0; t < kUows; ++t) {
+      for (int c = 0; c < num_chunks; ++c) {
+        lo = std::min(lo, store->handle(c, t).range.min);
+        hi = std::max(hi, store->handle(c, t).range.max);
+      }
+    }
+    const float default_iso = test::make_workload(ds).iso_value;
+    const std::vector<float> isos =
+        chunks == 3 ? std::vector<float>{default_iso}
+                    : std::vector<float>{lo - 1.0f, lo, default_iso, hi + 1.0f};
+    for (float iso : isos) {
+      const std::uint64_t crossing = crossing_pairs(ds, kUows, iso);
+      if (chunks == 3) {
+        EXPECT_EQ(crossing, all_pairs);
+      } else if (iso == default_iso) {
+        EXPECT_GT(crossing, 0u);
+        EXPECT_LT(crossing, all_pairs);
+      } else {
+        EXPECT_EQ(crossing, 0u);
+      }
+      for (viz::PipelineConfig config :
+           {viz::PipelineConfig::kR_ERa_M, viz::PipelineConfig::kRE_Ra_M,
+            viz::PipelineConfig::kRERa_M}) {
+        for (int depth : {0, 2}) {
+          SCOPED_TRACE(std::to_string(chunks) + "^3 chunks, iso " +
+                       std::to_string(iso) + ", " + viz::to_string(config) +
+                       ", depth " + std::to_string(depth));
+          auto s = spec(config,
+                        config == viz::PipelineConfig::kR_ERa_M
+                            ? viz::HsrAlgorithm::kZBuffer
+                            : viz::HsrAlgorithm::kActivePixel,
+                        {{0, 2}, {1, 2}}, viz::one_each({2, 3}), 3);
+          s.workload.iso_value = iso;
+          const std::uint64_t disk_before = reader->metrics().total_disk_bytes();
+          std::uint64_t reads = 0;
+          expect_ooc_identical(s, cfg, kUows, depth, &reads);
+          EXPECT_EQ(reads, crossing);
+          if (crossing == 0) {
+            EXPECT_EQ(reader->metrics().total_disk_bytes(), disk_before);
+            s.workload.reader = nullptr;
+            for (int u = 0; u < kUows; ++u) {
+              EXPECT_EQ(test::direct_render(s.workload, u).active_pixels(
+                            viz::RenderSink{}.background),
+                        0u);
+            }
+          }
+        }
+      }
+    }
+    reader.reset();
+    store.reset();
+    fs::remove_all(root);
   }
 }
 

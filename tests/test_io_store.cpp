@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,6 +95,57 @@ TEST(ChunkStoreFormat, RoundTripsPlumeBitsExactly) {
   fs::remove_all(root);
 }
 
+TEST(ChunkStoreFormat, ValueRangesRoundTrip) {
+  // The materializer indexes each payload with the range of its own
+  // samples, halo included.
+  StoreFixture f;
+  f.place({{0, 0}, {1, 0}});
+  const fs::path root = make_temp_dir("ranges");
+  materialize_plume_dataset(root, *f.store, f.field, 0, 2);
+  ChunkStore store(root);
+  std::vector<float> samples;
+  for (int t = 0; t < 2; ++t) {
+    for (int c = 0; c < f.layout.num_chunks(); ++c) {
+      f.field.fill_chunk(f.layout, c, static_cast<float>(t), samples);
+      const ValueRange want = value_range(samples);
+      ASSERT_LT(want.min, want.max);
+      EXPECT_EQ(store.handle(c, t).range, want) << "chunk " << c << " ts " << t;
+    }
+  }
+  fs::remove_all(root);
+
+  // An explicit range is stored as given, endpoints included.
+  const fs::path root2 = make_temp_dir("ranges_explicit");
+  {
+    ChunkStoreWriter w(root2);
+    const std::vector<std::byte> payload(16, std::byte{3});
+    w.put_chunk({0, 0}, 0, 0, 0, payload, ValueRange{-1.5f, 2.25f});
+    w.put_chunk({0, 0}, 0, 1, 0, payload, ValueRange{7.f, 7.f});
+    w.finish();
+  }
+  ChunkStore explicit_store(root2);
+  EXPECT_EQ(explicit_store.handle(0, 0).range, (ValueRange{-1.5f, 2.25f}));
+  EXPECT_EQ(explicit_store.handle(1, 0).range, (ValueRange{7.f, 7.f}));
+  fs::remove_all(root2);
+}
+
+TEST(ChunkStoreFormat, PutChunkWithoutRangeStoresOpenRange) {
+  // Payloads that are not float samples (the external sort's record runs)
+  // carry no range; the open range makes sure no reader ever skips them.
+  const fs::path root = make_temp_dir("open_range");
+  {
+    ChunkStoreWriter w(root);
+    w.put_chunk({0, 0}, 0, 0, 0, std::vector<std::byte>(24, std::byte{5}));
+    w.finish();
+  }
+  ChunkStore store(root);
+  const ValueRange r = store.handle(0, 0).range;
+  EXPECT_EQ(r.min, -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(r.max, std::numeric_limits<float>::infinity());
+  EXPECT_EQ(r, ValueRange{});
+  fs::remove_all(root);
+}
+
 TEST(ChunkStoreFormat, HandleResolvesAndMissingThrows) {
   StoreFixture f;
   f.place({{0, 0}});
@@ -163,15 +215,21 @@ TEST(ChunkStoreFormat, EmptyDirectoryIsRejected) {
   fs::remove_all(root);
 }
 
-/// Single-file store, then flip one byte at `offset` in that file.
+/// Single-file store, then flip one byte at `offset` in that file (or, with
+/// `in_index`, at `offset` into its index region).
 fs::path corrupt_single_file_store(const std::string& name,
-                                   std::uint64_t offset) {
+                                   std::uint64_t offset, bool in_index = false) {
   StoreFixture f(/*files=*/1);
   f.place({{0, 0}});
   const fs::path root = make_temp_dir(name);
   materialize_plume_dataset(root, *f.store, f.field, 0, 1);
   const fs::path file = root / file_relpath(0, 0, 0);
   std::fstream s(file, std::ios::binary | std::ios::in | std::ios::out);
+  if (in_index) {
+    FileHeader h;
+    s.read(reinterpret_cast<char*>(&h), sizeof(h));
+    offset += h.index_offset;
+  }
   s.seekg(static_cast<std::streamoff>(offset));
   char c = 0;
   s.get(c);
@@ -208,6 +266,52 @@ TEST(ChunkStoreFormat, V1FileRejectedByVersionNotChecksum) {
     FAIL() << "v1 file opened";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("incompatible format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(root);
+}
+
+TEST(ChunkStoreFormat, V2FileRejectedByVersionNotChecksum) {
+  // A v2 file has 32-byte index entries without value ranges. Its header is
+  // self-consistent (CRC32C), so only the version number can reject it.
+  StoreFixture f(/*files=*/1);
+  f.place({{0, 0}});
+  const fs::path root = make_temp_dir("v2_reject");
+  materialize_plume_dataset(root, *f.store, f.field, 0, 1);
+  const fs::path file = root / file_relpath(0, 0, 0);
+  FileHeader h;
+  {
+    std::ifstream in(file, std::ios::binary);
+    in.read(reinterpret_cast<char*>(&h), sizeof(h));
+  }
+  h.version = 2;
+  h.header_checksum = h.compute_checksum();
+  {
+    std::fstream out(file, std::ios::binary | std::ios::in | std::ios::out);
+    out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+  }
+  try {
+    ChunkStore store(root);
+    FAIL() << "v2 file opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("incompatible format version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(root);
+}
+
+TEST(ChunkStoreFormat, CorruptValueRangeFailsIndexChecksum) {
+  // A flipped range bit could make a reader skip a chunk that holds
+  // surface; the index checksum covers the ranges, so the store won't open.
+  const fs::path root = corrupt_single_file_store(
+      "corrupt_range", offsetof(ChunkIndexEntry, min_value), /*in_index=*/true);
+  try {
+    ChunkStore store(root);
+    FAIL() << "store with a corrupt range opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("index checksum mismatch"),
               std::string::npos)
         << e.what();
   }

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
+#include "io/format.hpp"
+#include "sim/rng.hpp"
 #include "viz/mc_tables.hpp"
 
 namespace dc::viz {
@@ -218,6 +221,105 @@ TEST(MarchingCubes, ChunkedExtractionMatchesWholeGrid) {
   for (const auto& t : all) area_all += t.area();
   for (const auto& t : parts) area_parts += t.area();
   EXPECT_NEAR(area_all, area_parts, 1e-3);
+}
+
+// ---------------------------------------------------------------------------
+// iso_can_cross: the out-of-core Read side skips a chunk whose stored value
+// range fails it, so it must never skip a payload marching_cubes would
+// extract triangles from.
+// ---------------------------------------------------------------------------
+
+/// Triangles marching_cubes emits on an n^3-cell payload at `iso`.
+std::size_t triangles_at(const std::vector<float>& s, int n, float iso) {
+  std::vector<Triangle> tris;
+  marching_cubes(s.data(), n, n, n, 0, 0, 0, iso, tris);
+  return tris.size();
+}
+
+bool can_cross(const std::vector<float>& s, float iso) {
+  const io::ValueRange r = io::value_range(s);
+  return iso_can_cross(r.min, r.max, iso);
+}
+
+TEST(IsoCanCross, IsoAtMinimumIsPrunedAndEmitsNothing) {
+  // No sample is below iso == min, so no corner bit is ever set.
+  const auto s = sample_grid(2, [](float x, float, float) { return x; });
+  ASSERT_EQ(io::value_range(s), (io::ValueRange{0.f, 2.f}));
+  EXPECT_FALSE(can_cross(s, 0.f));
+  EXPECT_EQ(triangles_at(s, 2, 0.f), 0u);
+}
+
+TEST(IsoCanCross, IsoAtMaximumIsKeptAndEmits) {
+  // The samples at x == 2 are not below iso == max; the rest are.
+  const auto s = sample_grid(2, [](float x, float, float) { return x; });
+  EXPECT_TRUE(can_cross(s, 2.f));
+  EXPECT_GT(triangles_at(s, 2, 2.f), 0u);
+}
+
+TEST(IsoCanCross, NanSampleCountsAsAboveEveryIso) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto below = sample_grid(2, [](float, float, float) { return 0.f; });
+  below[13] = nan;  // the centre point
+  EXPECT_EQ(io::value_range(below),
+            (io::ValueRange{0.f, std::numeric_limits<float>::infinity()}));
+  // Every other corner is below iso; the NaN corner is not.
+  EXPECT_TRUE(can_cross(below, 0.5f));
+  EXPECT_GT(triangles_at(below, 2, 0.5f), 0u);
+
+  auto above = sample_grid(2, [](float, float, float) { return 1.f; });
+  above[13] = nan;
+  EXPECT_FALSE(can_cross(above, 0.5f));
+  EXPECT_EQ(triangles_at(above, 2, 0.5f), 0u);
+
+  const std::vector<float> all_nan(27, nan);
+  EXPECT_FALSE(can_cross(all_nan, 0.5f));
+  EXPECT_EQ(triangles_at(all_nan, 2, 0.5f), 0u);
+}
+
+TEST(IsoCanCross, EmptyRangeNeverCrosses) {
+  const io::ValueRange r = io::value_range({});
+  EXPECT_FALSE(iso_can_cross(r.min, r.max, 0.f));
+  const io::ValueRange open;
+  EXPECT_TRUE(iso_can_cross(open.min, open.max, 0.f));
+}
+
+TEST(IsoCanCross, SeededPayloadsAgreeWithMarchingCubes) {
+  // Small random payloads over a few levels, so ties with iso are common,
+  // with the odd NaN; iso is one of the payload's own values, or one level
+  // above them all so that only a NaN is not below it. The predicate is
+  // exact both ways on one connected block: pruned means no triangle, kept
+  // means at least one.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  sim::Rng rng(20021);
+  int pruned = 0, kept = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.below(3));
+    const int levels = 1 + static_cast<int>(rng.below(4));
+    std::vector<float> s;
+    for (int i = 0; i < (n + 1) * (n + 1) * (n + 1); ++i) {
+      s.push_back(rng.below(25) == 0
+                      ? nan
+                      : static_cast<float>(rng.below(
+                            static_cast<std::uint64_t>(levels))));
+    }
+    float iso = static_cast<float>(levels);
+    if (rng.below(4) != 0) {
+      const float v = s[rng.below(s.size())];
+      if (!std::isnan(v)) iso = v;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t tris = triangles_at(s, n, iso);
+    if (can_cross(s, iso)) {
+      ++kept;
+      EXPECT_GT(tris, 0u);
+    } else {
+      ++pruned;
+      EXPECT_EQ(tris, 0u);
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(pruned, 100);
+  EXPECT_GT(kept, 100);
 }
 
 }  // namespace

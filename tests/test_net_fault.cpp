@@ -95,6 +95,12 @@ class SimWorker : public core::Filter {
 /// processed buffer to the fault cell — so kBuffers triggers fire AFTER the
 /// Nth stamp was recorded, making "at most N stamps die with this rank" a
 /// hard bound instead of a race.
+///
+/// kBuffers triggers count UOW 0 only, so a kill aimed at UOW 0 can never
+/// land in a later one. Under DD a descheduled victim may receive fewer
+/// buffers than the trigger's count, so its end of UOW 0 fires any trigger
+/// still pending. That is still mid-UOW: the rank's DONE for UOW 0 is only
+/// sent after its process_eow returns.
 class NetWorker : public core::Filter {
  public:
   NetWorker(std::shared_ptr<std::map<int, std::set<std::uint32_t>>> stamps,
@@ -110,7 +116,14 @@ class NetWorker : public core::Filter {
       std::lock_guard<std::mutex> lk(*mu_);
       (*stamps_)[*cur_uow_].insert(buf.records<std::uint32_t>()[0]);
     }
-    if (cell_ != nullptr) cell_->advance(net::FaultTrigger::kBuffers, 1);
+    if (cell_ != nullptr && *cur_uow_ == 0) {
+      cell_->advance(net::FaultTrigger::kBuffers, 1);
+    }
+  }
+  void process_eow(core::FilterContext&) override {
+    if (cell_ != nullptr && *cur_uow_ == 0) {
+      cell_->advance(net::FaultTrigger::kBuffers, kBuffers);
+    }
   }
 
  private:
