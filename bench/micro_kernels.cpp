@@ -1,14 +1,20 @@
 // Micro benchmarks of the computational kernels: marching cubes, the
-// scanline rasterizer, Hilbert indexing, z-buffer merging, active-pixel
-// rasterization.
+// half-space rasterizer, Hilbert indexing, z-buffer merging, active-pixel
+// rasterization. The *Plume benchmarks run the end-to-end benchmark's traffic
+// (a 96^3 plume field in 12^3-cell chunks, about 1 fragment per triangle at
+// 512^2); the others run synthetic shapes.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/hilbert.hpp"
+#include "data/synth.hpp"
+#include "data/volume.hpp"
 #include "sim/rng.hpp"
 #include "viz/active_pixel.hpp"
+#include "viz/camera.hpp"
 #include "viz/marching_cubes.hpp"
 #include "viz/raster.hpp"
 #include "viz/zbuffer.hpp"
@@ -34,6 +40,57 @@ std::vector<float> sphere_grid(int n) {
   return s;
 }
 
+/// One timestep of the end-to-end benchmark's dataset: a 96^3 plume field
+/// (seed 2002) in 8^3 chunks of 12^3 cells plus the one-point halo, at the
+/// iso value where a 48^3 sampling yields 22000 triangles (88k on the full
+/// grid), calibrated as bench/e2e does but on timestep 0 alone.
+struct PlumeChunks {
+  static constexpr int kGrid = 96;
+  data::ChunkLayout layout{data::GridDims{kGrid, kGrid, kGrid}, 8, 8, 8};
+  std::vector<std::vector<float>> samples;
+  float iso = 0.f;
+
+  PlumeChunks() {
+    const data::PlumeField field(2002);
+    std::vector<float> coarse;
+    field.fill_chunk(data::ChunkLayout(data::GridDims{48, 48, 48}, 1, 1, 1), 0, 0.f,
+                     coarse);
+    std::vector<float> sorted = coarse;
+    std::sort(sorted.begin(), sorted.end());
+    float lo = sorted[sorted.size() / 20], hi = sorted[sorted.size() / 2];
+    std::vector<viz::Triangle> tris;
+    for (int i = 0; i < 16; ++i) {
+      const float mid = 0.5f * (lo + hi);
+      tris.clear();
+      const auto n = viz::marching_cubes(coarse.data(), 48, 48, 48, 0, 0, 0, mid, tris)
+                         .triangles;
+      (n < 22000 ? lo : hi) = mid;
+    }
+    iso = 0.5f * (lo + hi);
+    samples.resize(static_cast<std::size_t>(layout.num_chunks()));
+    for (int c = 0; c < layout.num_chunks(); ++c) {
+      field.fill_chunk(layout, c, 0.f, samples[static_cast<std::size_t>(c)]);
+    }
+  }
+
+  /// Extracts chunk `c` into `out`.
+  viz::McStats extract(int c, std::vector<viz::Triangle>& out) const {
+    const data::CellBox box = layout.chunk_box(c);
+    return viz::marching_cubes(samples[static_cast<std::size_t>(c)].data(),
+                               box.hi[0] - box.lo[0], box.hi[1] - box.lo[1],
+                               box.hi[2] - box.lo[2], static_cast<float>(box.lo[0]),
+                               static_cast<float>(box.lo[1]),
+                               static_cast<float>(box.lo[2]), iso, out);
+  }
+};
+
+const PlumeChunks& plume_chunks() {
+  static const PlumeChunks chunks;
+  return chunks;
+}
+
+// A sphere: a smooth surface crossing few cells, larger triangles than the
+// plume's. BM_MarchingCubesPlume runs the benchmark's chunks.
 void BM_MarchingCubes(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto samples = sphere_grid(n);
@@ -48,6 +105,26 @@ void BM_MarchingCubes(benchmark::State& state) {
 }
 BENCHMARK(BM_MarchingCubes)->Arg(16)->Arg(32)->Arg(64);
 
+// Every chunk of one timestep per iteration; items are cells.
+void BM_MarchingCubesPlume(benchmark::State& state) {
+  const PlumeChunks& plume = plume_chunks();
+  std::vector<viz::Triangle> tris;
+  std::uint64_t cells = 0;
+  for (auto _ : state) {
+    tris.clear();
+    for (int c = 0; c < plume.layout.num_chunks(); ++c) {
+      cells += plume.extract(c, tris).cells;
+    }
+    benchmark::DoNotOptimize(tris.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_MarchingCubesPlume);
+
+// 176-pixel triangles, 160x the plume's fragments per triangle at 512^2:
+// per-pixel cost, not the per-triangle cost that dominates the benchmark
+// (see BM_RasterizePlume).
 void BM_Rasterize(benchmark::State& state) {
   sim::Rng rng(3);
   std::vector<viz::ScreenTriangle> tris;
@@ -69,6 +146,34 @@ void BM_Rasterize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_Rasterize);
+
+// The plume's triangles, projected by view 0 at range(0)^2 pixels: at 512^2
+// most cover one pixel center or none. Items are triangles.
+void BM_RasterizePlume(benchmark::State& state) {
+  const int res = static_cast<int>(state.range(0));
+  const PlumeChunks& plume = plume_chunks();
+  std::vector<viz::Triangle> world;
+  for (int c = 0; c < plume.layout.num_chunks(); ++c) plume.extract(c, world);
+  const viz::Camera cam = viz::Camera::for_volume(PlumeChunks::kGrid, PlumeChunks::kGrid,
+                                                  PlumeChunks::kGrid, res, res);
+  std::vector<viz::ScreenTriangle> tris;
+  for (const viz::Triangle& t : world) {
+    viz::ScreenTriangle st;
+    if (cam.project_position(t, st)) tris.push_back(st);
+  }
+  std::uint64_t frags = 0;
+  for (auto _ : state) {
+    for (const auto& t : tris) {
+      frags += viz::rasterize(t, res, res, [](int, int, float) {});
+    }
+  }
+  benchmark::DoNotOptimize(frags);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(tris.size()));
+  state.counters["frags_per_tri"] =
+      static_cast<double>(frags) /
+      static_cast<double>(state.iterations() * static_cast<std::int64_t>(tris.size()));
+}
+BENCHMARK(BM_RasterizePlume)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_HilbertIndex(benchmark::State& state) {
   sim::Rng rng(5);
@@ -99,6 +204,8 @@ void BM_ZBufferApply(benchmark::State& state) {
 }
 BENCHMARK(BM_ZBufferApply);
 
+// 87-pixel triangles, far larger than the plume's ~1 fragment per triangle:
+// the WPA/MSA path's per-fragment cost.
 void BM_ActivePixelAdd(benchmark::State& state) {
   sim::Rng rng(9);
   std::vector<viz::ScreenTriangle> tris;

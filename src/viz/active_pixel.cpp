@@ -54,9 +54,9 @@ void ActivePixelRaster::emit_fragment(int x, int y, float depth,
   }
 }
 
-void ActivePixelRaster::add(const ScreenTriangle& tri, std::uint32_t rgba,
-                            const FlushFn& flush) {
-  rasterize(tri, width_, height_, [&](int x, int y, float depth) {
+std::size_t ActivePixelRaster::add(const ScreenTriangle& tri, std::uint32_t rgba,
+                                   const FlushFn& flush) {
+  return rasterize(tri, width_, height_, [&](int x, int y, float depth) {
     emit_fragment(x, y, depth, rgba, flush);
   });
 }

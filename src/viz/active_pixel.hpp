@@ -30,8 +30,8 @@ class ActivePixelRaster {
   ActivePixelRaster(int width, int height, std::size_t wpa_capacity);
 
   /// Rasterizes one shaded triangle; may invoke `flush` (possibly several
-  /// times) when the WPA fills.
-  void add(const ScreenTriangle& tri, std::uint32_t rgba, const FlushFn& flush);
+  /// times) when the WPA fills. Returns the fragments it generated.
+  std::size_t add(const ScreenTriangle& tri, std::uint32_t rgba, const FlushFn& flush);
 
   /// Emits the current partial WPA if non-empty ("when all triangles in the
   /// current input buffer are processed").

@@ -49,6 +49,12 @@ bool Camera::project_vertex(const Vec3& p, ScreenVertex& out) const {
 }
 
 bool Camera::project(const Triangle& tri, ScreenTriangle& out) const {
+  if (!project_position(tri, out)) return false;
+  out.world_normal = tri.face_normal();
+  return true;
+}
+
+bool Camera::project_position(const Triangle& tri, ScreenTriangle& out) const {
   // Reject (rather than clip) triangles crossing the near plane: the camera
   // frames the whole volume, so this only guards degenerate setups.
   if (!project_vertex(tri.v0, out.v0) || !project_vertex(tri.v1, out.v1) ||
@@ -64,7 +70,6 @@ bool Camera::project(const Triangle& tri, ScreenTriangle& out) const {
       min_y >= static_cast<float>(height_)) {
     return false;
   }
-  out.world_normal = tri.face_normal();
   return true;
 }
 

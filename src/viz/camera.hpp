@@ -38,6 +38,10 @@ class Camera {
   /// rejected (behind the near plane or fully outside the viewport).
   bool project(const Triangle& tri, ScreenTriangle& out) const;
 
+  /// project() without the face normal: `out.world_normal` is left as it
+  /// was, for callers that shade only triangles that cover a pixel.
+  bool project_position(const Triangle& tri, ScreenTriangle& out) const;
+
   [[nodiscard]] int width() const { return width_; }
   [[nodiscard]] int height() const { return height_; }
   [[nodiscard]] Vec3 view_dir() const { return view_dir_; }

@@ -119,6 +119,20 @@ McStats extract_chunk(const VizWorkload& w, const data::ChunkRef& ref,
                         static_cast<float>(box.lo[2]), w.iso_value, tris);
 }
 
+McStats extract_blocks(const VizWorkload& w, const core::Buffer& buf,
+                       std::vector<Triangle>& tris) {
+  McStats total;
+  for_each_block(buf, [&](const BlockHeader& h, const float* samples) {
+    const McStats s = marching_cubes(
+        samples, h.nx, h.ny, h.nz, static_cast<float>(h.x0),
+        static_cast<float>(h.y0), static_cast<float>(h.z0), w.iso_value, tris);
+    total.cells += s.cells;
+    total.active_cells += s.active_cells;
+    total.triangles += s.triangles;
+  });
+  return total;
+}
+
 double extract_ops(const CostModel& c, const McStats& s) {
   return c.mc_per_cell * static_cast<double>(s.cells) +
          c.mc_per_active_cell * static_cast<double>(s.active_cells) +
@@ -263,16 +277,7 @@ void ReadFilter::process_eow(core::FilterContext& ctx) {
 void ExtractFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
                                    const core::Buffer& buf) {
   tris_.clear();
-  McStats total;
-  for_each_block(buf, [&](const BlockHeader& h, const float* samples) {
-    const McStats s = marching_cubes(
-        samples, h.nx, h.ny, h.nz, static_cast<float>(h.x0),
-        static_cast<float>(h.y0), static_cast<float>(h.z0), w_.iso_value, tris_);
-    total.cells += s.cells;
-    total.active_cells += s.active_cells;
-    total.triangles += s.triangles;
-  });
-  ctx.charge(extract_ops(w_.cost, total));
+  ctx.charge(extract_ops(w_.cost, extract_blocks(w_, buf, tris_)));
 
   // "When the output buffer is full or the entire input buffer has been
   // processed, the output buffer is sent" (paper Section 3.1.1).
@@ -358,12 +363,18 @@ void HsrEngine::flush_entries(core::FilterContext& ctx,
 void HsrEngine::raster(core::FilterContext& ctx, const Triangle* tris,
                        std::size_t n) {
   const float scalar_norm = w_.iso_value / w_.field_max;
+  const ActivePixelRaster::FlushFn flush = [&](const std::vector<PixEntry>& e) {
+    flush_entries(ctx, e);
+  };
   std::uint64_t fragments = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ScreenTriangle st;
-    if (!camera_.project(tris[i], st)) continue;
+    if (!camera_.project_position(tris[i], st)) continue;
+    // A triangle whose bounds hold no pixel center emits nothing, so it is
+    // neither normalized nor shaded.
+    if (pixel_bounds(st, w_.width, w_.height).empty()) continue;
     const std::uint32_t rgba =
-        shade_flat(st.world_normal, camera_.view_dir(), scalar_norm);
+        shade_flat(tris[i].face_normal(), camera_.view_dir(), scalar_norm);
     if (alg_ == HsrAlgorithm::kZBuffer) {
       fragments += rasterize(st, w_.width, w_.height, [&](int x, int y, float d) {
         zb_.apply(static_cast<std::uint32_t>(y) *
@@ -372,10 +383,7 @@ void HsrEngine::raster(core::FilterContext& ctx, const Triangle* tris,
                   d, rgba);
       });
     } else {
-      const std::uint64_t before = ap_->fragments_generated();
-      ap_->add(st, rgba,
-               [&](const std::vector<PixEntry>& e) { flush_entries(ctx, e); });
-      fragments += ap_->fragments_generated() - before;
+      fragments += ap_->add(st, rgba, flush);
     }
   }
   double ops = w_.cost.raster_per_triangle * static_cast<double>(n) +
@@ -496,16 +504,7 @@ bool ReadExtractFilter::step(core::FilterContext& ctx) {
 void ExtractRasterFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
                                          const core::Buffer& buf) {
   tris_.clear();
-  McStats total;
-  for_each_block(buf, [&](const BlockHeader& h, const float* samples) {
-    const McStats s = marching_cubes(
-        samples, h.nx, h.ny, h.nz, static_cast<float>(h.x0),
-        static_cast<float>(h.y0), static_cast<float>(h.z0), w_.iso_value, tris_);
-    total.cells += s.cells;
-    total.active_cells += s.active_cells;
-    total.triangles += s.triangles;
-  });
-  ctx.charge(extract_ops(w_.cost, total));
+  ctx.charge(extract_ops(w_.cost, extract_blocks(w_, buf, tris_)));
   engine_.raster(ctx, tris_.data(), tris_.size());
   engine_.input_boundary(ctx);
 }

@@ -296,6 +296,11 @@ ChunkSamples load_chunk_samples(const VizWorkload& w, io::ReadStream* stream,
 McStats extract_chunk(const VizWorkload& w, const data::ChunkRef& ref,
                       const float* samples, std::vector<Triangle>& tris);
 
+/// Extracts triangles from every block of a Read-filter buffer; appends to
+/// `tris` and returns the summed marching-cubes statistics.
+McStats extract_blocks(const VizWorkload& w, const core::Buffer& buf,
+                       std::vector<Triangle>& tris);
+
 /// CPU demand of extracting per `extract_chunk` stats.
 [[nodiscard]] double extract_ops(const CostModel& c, const McStats& s);
 

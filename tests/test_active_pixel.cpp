@@ -166,6 +166,25 @@ TEST_P(ApEquivalence, MergedOutputMatchesDenseZBuffer) {
 INSTANTIATE_TEST_SUITE_P(Capacities, ApEquivalence,
                          ::testing::Values(4, 16, 128, 1 << 20));
 
+TEST(ActivePixel, AddReturnsTheFragmentsItGenerated) {
+  ActivePixelRaster ap(64, 64, 8);  // small: add flushes mid-triangle
+  int flushes = 0;
+  const ActivePixelRaster::FlushFn sink = [&](const std::vector<PixEntry>&) {
+    ++flushes;
+  };
+  const std::vector<ScreenTriangle> tris = {tri(5, 5, 1, 25, 5, 1, 5, 25, 1),
+                                            tri(30.6f, 30.6f, 1, 31.4f, 30.6f, 1,
+                                                31.f, 31.4f, 1),
+                                            tri(-10, -10, 1, 60, 5, 1, 5, 40, 1)};
+  for (const ScreenTriangle& t : tris) {
+    const std::uint64_t before = ap.fragments_generated();
+    const std::size_t n = ap.add(t, 7, sink);
+    EXPECT_EQ(n, ap.fragments_generated() - before);
+    EXPECT_EQ(n, rasterize(t, 64, 64, [](int, int, float) {}));
+  }
+  EXPECT_GT(flushes, 0);
+}
+
 TEST(ActivePixel, EntryIndicesWithinImage) {
   const int w = 32, h = 16;
   ActivePixelRaster ap(w, h, 1 << 16);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
 
+#include "data/synth.hpp"
+#include "data/volume.hpp"
 #include "io/format.hpp"
 #include "sim/rng.hpp"
 #include "viz/mc_tables.hpp"
@@ -320,6 +324,174 @@ TEST(IsoCanCross, SeededPayloadsAgreeWithMarchingCubes) {
   // Both outcomes were exercised.
   EXPECT_GT(pruned, 100);
   EXPECT_GT(kept, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen oracle: marching_cubes as it was before it classified a row of
+// cells at a time — eight compares per cell, every cell. The production
+// kernel must emit the same triangle bytes and the same McStats.
+// ---------------------------------------------------------------------------
+
+constexpr int kOracleCornerOffset[8][3] = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
+                                           {0, 1, 0}, {0, 0, 1}, {1, 0, 1},
+                                           {1, 1, 1}, {0, 1, 1}};
+
+Vec3 oracle_interp(float iso, const Vec3& p1, const Vec3& p2, float v1, float v2) {
+  if (std::abs(iso - v1) < 1e-5f) return p1;
+  if (std::abs(iso - v2) < 1e-5f) return p2;
+  if (std::abs(v1 - v2) < 1e-5f) return p1;
+  const float mu = (iso - v1) / (v2 - v1);
+  return p1 + (p2 - p1) * mu;
+}
+
+McStats oracle_marching_cubes(const float* samples, int nx, int ny, int nz,
+                              float ox, float oy, float oz, float iso,
+                              std::vector<Triangle>& out) {
+  McStats stats;
+  const int sx = nx + 1;  // samples per row
+  const int sy = ny + 1;
+  auto sample = [&](int x, int y, int z) {
+    return samples[static_cast<std::size_t>(z) * static_cast<std::size_t>(sx) *
+                       static_cast<std::size_t>(sy) +
+                   static_cast<std::size_t>(y) * static_cast<std::size_t>(sx) +
+                   static_cast<std::size_t>(x)];
+  };
+
+  for (int z = 0; z < nz; ++z) {
+    for (int y = 0; y < ny; ++y) {
+      for (int x = 0; x < nx; ++x) {
+        ++stats.cells;
+        float val[8];
+        Vec3 pos[8];
+        int cube_index = 0;
+        for (int c = 0; c < 8; ++c) {
+          const int cx = x + kOracleCornerOffset[c][0];
+          const int cy = y + kOracleCornerOffset[c][1];
+          const int cz = z + kOracleCornerOffset[c][2];
+          val[c] = sample(cx, cy, cz);
+          pos[c] = Vec3{ox + static_cast<float>(cx), oy + static_cast<float>(cy),
+                        oz + static_cast<float>(cz)};
+          if (val[c] < iso) cube_index |= 1 << c;
+        }
+        const std::uint16_t edges = mc::kEdgeTable[cube_index];
+        if (edges == 0) continue;
+        ++stats.active_cells;
+
+        Vec3 vert[12];
+        for (int e = 0; e < 12; ++e) {
+          if (edges & (1u << e)) {
+            const int a = mc::kEdgeCorners[e][0];
+            const int b = mc::kEdgeCorners[e][1];
+            vert[e] = oracle_interp(iso, pos[a], pos[b], val[a], val[b]);
+          }
+        }
+
+        const std::int8_t* tris = mc::kTriTable[cube_index];
+        for (int i = 0; tris[i] != -1; i += 3) {
+          Triangle t;
+          t.v0 = vert[tris[i]];
+          t.v1 = vert[tris[i + 1]];
+          t.v2 = vert[tris[i + 2]];
+          out.push_back(t);
+          ++stats.triangles;
+        }
+      }
+    }
+  }
+  return stats;
+}
+
+/// Runs both kernels on one payload; returns the triangles emitted.
+std::size_t expect_matches_oracle(const std::vector<float>& s, int nx, int ny,
+                                  int nz, float ox, float oy, float oz, float iso) {
+  std::vector<Triangle> got, want;
+  const McStats g = marching_cubes(s.data(), nx, ny, nz, ox, oy, oz, iso, got);
+  const McStats w = oracle_marching_cubes(s.data(), nx, ny, nz, ox, oy, oz, iso, want);
+  EXPECT_EQ(g.cells, w.cells);
+  EXPECT_EQ(g.active_cells, w.active_cells);
+  EXPECT_EQ(g.triangles, w.triangles);
+  EXPECT_EQ(got.size(), want.size());
+  if (!got.empty() && got.size() == want.size()) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Triangle)), 0)
+        << "triangle bytes differ";
+  }
+  return want.size();
+}
+
+TEST(MarchingCubesOracle, SeededPayloadsMatch) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  sim::Rng rng(18);
+  std::size_t triangles = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int nx = 1 + static_cast<int>(rng.below(13));
+    const int ny = 1 + static_cast<int>(rng.below(13));
+    const int nz = 1 + static_cast<int>(rng.below(13));
+    const std::size_t points = static_cast<std::size_t>(nx + 1) *
+                               static_cast<std::size_t>(ny + 1) *
+                               static_cast<std::size_t>(nz + 1);
+    // Plane fields make whole rows of equal codes; few-level fields make
+    // samples equal to iso; a share of every kind gets NaN samples.
+    const int kind = trial % 3;
+    const float a = static_cast<float>(rng.uniform(-1, 1));
+    const float b = static_cast<float>(rng.uniform(-1, 1));
+    const float c = static_cast<float>(rng.uniform(-1, 1));
+    const int levels = 1 + static_cast<int>(rng.below(5));
+    const bool with_nan = rng.below(3) == 0;
+    std::vector<float> s;
+    s.reserve(points);
+    for (int z = 0; z <= nz; ++z) {
+      for (int y = 0; y <= ny; ++y) {
+        for (int x = 0; x <= nx; ++x) {
+          float v = 0.f;
+          if (kind == 0) {
+            v = static_cast<float>(rng.uniform());
+          } else if (kind == 1) {
+            v = static_cast<float>(rng.below(static_cast<std::uint64_t>(levels)));
+          } else {
+            v = a * static_cast<float>(x) + b * static_cast<float>(y) +
+                c * static_cast<float>(z);
+          }
+          s.push_back(with_nan && rng.below(20) == 0 ? nan : v);
+        }
+      }
+    }
+    float iso = s[rng.below(points)];  // often exactly a sample
+    if (std::isnan(iso) || rng.below(3) == 0) {
+      iso = kind == 1 ? static_cast<float>(rng.below(static_cast<std::uint64_t>(levels + 1)))
+                      : static_cast<float>(rng.uniform(-4, 4));
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " kind " << kind
+                                    << " " << nx << "x" << ny << "x" << nz);
+    triangles += expect_matches_oracle(s, nx, ny, nz, static_cast<float>(trial), -3.f,
+                                       0.5f, iso);
+  }
+  EXPECT_GT(triangles, 10000u);
+}
+
+TEST(MarchingCubesOracle, PlumeChunksMatch) {
+  // The benchmark's chunks: 12^3 cells plus the one-point halo, at the
+  // field's lower quartile (a surface of the benchmark's kind, crossing a
+  // few percent of the cells) and at a sample value of each chunk.
+  const data::ChunkLayout layout(data::GridDims{48, 48, 48}, 4, 4, 4);
+  for (const std::uint64_t seed : {2002u, 7u}) {
+    const data::PlumeField field(seed);
+    std::vector<float> s;
+    field.fill_chunk(data::ChunkLayout(data::GridDims{48, 48, 48}, 1, 1, 1), 0, 3.f, s);
+    std::nth_element(s.begin(), s.begin() + s.size() / 4, s.end());
+    const float quartile = s[s.size() / 4];
+    std::size_t triangles = 0;
+    for (int c = 0; c < layout.num_chunks(); ++c) {
+      field.fill_chunk(layout, c, 3.f, s);
+      const data::CellBox box = layout.chunk_box(c);
+      for (const float iso : {quartile, s[s.size() / 2]}) {
+        triangles += expect_matches_oracle(
+            s, box.hi[0] - box.lo[0], box.hi[1] - box.lo[1], box.hi[2] - box.lo[2],
+            static_cast<float>(box.lo[0]), static_cast<float>(box.lo[1]),
+            static_cast<float>(box.lo[2]), iso);
+      }
+    }
+    EXPECT_GT(triangles, 10000u);
+  }
 }
 
 }  // namespace

@@ -80,6 +80,10 @@ inline void make_raster_bound(viz::VizWorkload& w, double factor = 1000.0) {
 /// Reference renderer: extracts and rasterizes the whole dataset directly
 /// into one z-buffer, bypassing the filter runtime entirely. Every
 /// distributed configuration must reproduce this image bit-for-bit.
+/// It calls the production marching_cubes and rasterize, so it checks the
+/// runtime, not the kernels: a kernel change shows in neither side's digest.
+/// The kernels are checked against frozen copies of their earlier versions
+/// in test_marching_cubes.cpp and test_raster.cpp.
 inline viz::Image direct_render(const viz::VizWorkload& w, int uow = 0,
                                 std::uint32_t background = viz::RenderSink{}.background) {
   const viz::Camera cam = w.make_camera(uow);
