@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
     reg.set(k + ".speedup", pt.speedup);
     reg.set(k + ".image_ok", static_cast<std::int64_t>(pt.image_ok ? 1 : 0));
   }
-  exec::publish(last.metrics, reg);  // metrics of the 8-copy run
+  core::publish(last.metrics, reg, "exec");  // metrics of the 8-copy run
 
   // Scaling detail rides along as an extra top-level member.
   std::string extra = "\"policy\":\"dd\",\"scaling\":[";

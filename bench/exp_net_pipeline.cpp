@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
   reg.set("saturate.zero_copy.bytes_per_s", sat_zc_bps);
   reg.set("saturate.copy.bytes_per_s", sat_cp_bps);
   reg.set("saturate.speedup", sat_speedup);
-  exec::publish(last.metrics, reg);  // ledgers of the final 4-process DD run
+  core::publish(last.metrics, reg, "exec");  // ledgers of the final 4-process DD run
   net::publish(last.net, reg);      // its transport counters
 
   std::string extra = "\"sweep\":[";

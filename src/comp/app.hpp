@@ -51,7 +51,7 @@ struct TiledApp {
 struct TiledNativeRun {
   std::vector<double> per_uow;  ///< wall-clock makespan per timestep
   double avg = 0.0;
-  exec::Metrics metrics;
+  core::Metrics metrics;
   std::shared_ptr<viz::RenderSink> sink;
   std::shared_ptr<const TileMap> map;
   std::shared_ptr<CompStats> stats;

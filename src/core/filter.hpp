@@ -49,7 +49,7 @@ class FilterContext {
 
   /// Reports wall seconds this copy just spent blocked on real storage I/O
   /// (the out-of-core io::ChunkReader path). The native engine accounts it
-  /// in exec::InstanceMetrics::io_wait_time; the simulator ignores it — its
+  /// in core::InstanceMetrics::io_wait_time; the simulator ignores it — its
   /// disks are virtual and already charged through read_disk().
   virtual void note_io_wait(double seconds) { (void)seconds; }
 

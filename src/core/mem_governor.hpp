@@ -160,7 +160,7 @@ class MemoryGovernor {
 
 /// Publishes governor counters into the unified registry under
 /// `<prefix>.` dotted names (governor.grants, governor.spilled_bytes, ...),
-/// the same bridge shape as core::publish / exec::publish / io::publish.
+/// the same bridge shape as core::publish / io::publish.
 void publish(const GovernorStats& s, obs::MetricsRegistry& reg,
              const std::string& prefix = "governor");
 

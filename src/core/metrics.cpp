@@ -15,6 +15,7 @@ void publish(const Metrics& m, obs::MetricsRegistry& reg,
   std::uint64_t bytes_in = 0, bytes_out = 0;
   std::uint64_t disk_bytes = 0, acks_sent = 0;
   double work_ops = 0.0, busy = 0.0, stall = 0.0;
+  double queue_wait = 0.0, io_wait = 0.0;
   for (const auto& i : m.instances) {
     buffers_in += i.buffers_in;
     buffers_out += i.buffers_out;
@@ -25,6 +26,8 @@ void publish(const Metrics& m, obs::MetricsRegistry& reg,
     work_ops += i.work_ops;
     busy += i.busy_time;
     stall += i.stall_time;
+    queue_wait += i.queue_wait_time;
+    io_wait += i.io_wait_time;
   }
   reg.set(prefix + ".buffers_in", buffers_in);
   reg.set(prefix + ".buffers_out", buffers_out);
@@ -35,6 +38,8 @@ void publish(const Metrics& m, obs::MetricsRegistry& reg,
   reg.set(prefix + ".work_ops", work_ops);
   reg.set(prefix + ".busy_time", busy);
   reg.set(prefix + ".stall_time", stall);
+  reg.set(prefix + ".queue_wait_time", queue_wait);
+  reg.set(prefix + ".io_wait_time", io_wait);
 
   for (const auto& s : m.streams) {
     const std::string base = prefix + ".stream." + s.name;

@@ -13,15 +13,22 @@ class MetricsRegistry;
 
 namespace dc::core {
 
-/// Per-filter-instance counters.
+/// Per-filter-instance counters. Both engines keep this ledger: durations
+/// are virtual seconds on the simulator (core::Runtime) and wall-clock
+/// seconds on the threaded engine (exec::Engine).
 struct InstanceMetrics {
   int filter = -1;
   int instance = -1;
   int host = -1;
   std::string host_class;
   double work_ops = 0.0;              ///< charged compute demand
-  sim::SimTime busy_time = 0.0;       ///< virtual time spent in CPU jobs
-  sim::SimTime stall_time = 0.0;      ///< virtual time blocked on output windows
+  sim::SimTime busy_time = 0.0;       ///< time spent in CPU jobs / callbacks
+  sim::SimTime stall_time = 0.0;      ///< time blocked on output windows
+  /// Wall-clock only (the simulator's event-driven actors never wait for
+  /// input, so it leaves these 0): time blocked waiting for input, and
+  /// time blocked on real storage I/O.
+  double queue_wait_time = 0.0;
+  double io_wait_time = 0.0;
   std::uint64_t buffers_in = 0;
   std::uint64_t buffers_out = 0;
   std::uint64_t bytes_in = 0;
@@ -107,7 +114,7 @@ struct FilterAggregate {
   double work_ops = 0.0;
 };
 
-/// Everything measured during one or more UOWs.
+/// Everything measured during one or more UOWs, on either engine.
 struct Metrics {
   std::vector<InstanceMetrics> instances;
   std::vector<StreamMetrics> streams;
@@ -154,9 +161,9 @@ struct Metrics {
 /// per-instance counters (buffers, bytes, busy/stall time, ...), one
 /// `<prefix>.stream.<name>.*` group per logical stream, and the fault
 /// counters. set()-semantics — publishing twice overwrites, so benches call
-/// it once at finalize. This is the single export surface shared with
-/// exec::publish and io::publish: every bench emits one registry JSON
-/// instead of three metric dialects.
+/// it once at finalize. Simulator runs publish under "sim", threaded-engine
+/// runs under "exec"; with io::publish this is the whole export surface, so
+/// every bench emits one registry JSON.
 void publish(const Metrics& m, obs::MetricsRegistry& reg,
              const std::string& prefix = "sim");
 

@@ -49,7 +49,7 @@ struct PendingOut {
 };
 
 /// Per-stream counters private to one worker thread; summed into the shared
-/// exec::Metrics after the UOW's threads joined (the joins provide the
+/// core::Metrics after the UOW's threads joined (the joins provide the
 /// happens-before, so no atomics are needed anywhere in the hot path).
 struct StreamDelta {
   std::uint64_t buffers = 0;
@@ -155,7 +155,7 @@ struct Engine::Instance {
   /// Guarded by wmu — failovers run on recv / monitor threads.
   std::deque<PendingOut> retry;
 
-  InstanceMetrics m;
+  core::InstanceMetrics m;
   std::vector<StreamDelta> stream_local;  ///< per stream, owner thread only
   sim::Rng rng;
   std::unique_ptr<ContextImpl> ctx;
@@ -929,9 +929,11 @@ void Engine::on_wire_error(int peer, net::WireError err,
             /*broadcast=*/true);
 }
 
-core::FaultMetrics Engine::fault_metrics() const {
+core::Metrics Engine::metrics() const {
+  core::Metrics m = metrics_;
   std::lock_guard<std::mutex> lk(faults_mu_);
-  return faults_;
+  m.faults = faults_;
+  return m;
 }
 
 void Engine::on_peer_dead(int peer) {

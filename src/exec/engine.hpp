@@ -17,7 +17,6 @@
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
-#include "exec/metrics.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
 #include "net/transport.hpp"
@@ -28,7 +27,7 @@ namespace dc::exec {
 
 /// Optional description of the machine the engine maps the Placement onto.
 /// Host ids are the Placement's; only the class labels matter here (for
-/// exec::Metrics::buffers_in_by_class and FilterContext::host_class). Hosts
+/// core::Metrics::buffers_in_by_class and FilterContext::host_class). Hosts
 /// without an entry are labelled "native".
 struct HostInfo {
   std::vector<std::string> host_classes;  ///< indexed by host id
@@ -171,18 +170,16 @@ class Engine {
   /// call early (after the last run call) or twice.
   void shutdown();
 
-  /// Cumulative metrics over the instances this process ran. In a
-  /// multi-process run, summing the stream and ack ledgers across ranks
-  /// reproduces the single-process ledger exactly.
-  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  /// Snapshot of the cumulative metrics over the instances this process
+  /// ran; durations are wall-clock seconds. In a multi-process run, summing
+  /// the stream and ack ledgers across ranks reproduces the single-process
+  /// ledger exactly. `faults` is this process's view (its own failovers
+  /// observed, its producers' retransmits / losses); per-UOW deltas are in
+  /// UowResult::outcome.
+  [[nodiscard]] core::Metrics metrics() const;
   [[nodiscard]] const net::NetMetrics& net_metrics() const {
     return net_metrics_;
   }
-
-  /// Cumulative fault counters of this process's view (its own failovers
-  /// observed, its producers' retransmits / losses). Per-UOW deltas are in
-  /// UowResult::outcome.
-  [[nodiscard]] core::FaultMetrics fault_metrics() const;
 
   /// Attaches the process-fault harness's trigger cell (nullptr detaches;
   /// must outlive the engine). The engine reports UOW entry (at_uow),
@@ -350,7 +347,7 @@ class Engine {
   bool use_effective_ = false;
   net::FaultCell* fault_cell_ = nullptr;
 
-  Metrics metrics_;
+  core::Metrics metrics_;  ///< all but faults, which live in faults_
   net::NetMetrics net_metrics_;
   sim::Rng base_rng_;
   obs::TraceSession* obs_ = nullptr;

@@ -1,106 +1,12 @@
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
-namespace dc::obs {
-class MetricsRegistry;
-}
+#include "core/metrics.hpp"
 
 namespace dc::exec {
 
-/// Per-filter-instance counters of the native threaded engine. Mirrors
-/// core::InstanceMetrics, but every duration is wall-clock seconds measured
-/// on real threads, and input-side blocking is split out as queue-wait time
-/// (the simulator's actors have no analogous wait: they are event-driven).
-struct InstanceMetrics {
-  int filter = -1;
-  int instance = -1;
-  int host = -1;
-  std::string host_class;
-  double work_ops = 0.0;        ///< charged compute demand (accounting only)
-  double busy_time = 0.0;       ///< wall seconds inside filter callbacks
-  double stall_time = 0.0;      ///< wall seconds blocked on output windows/queues
-  double queue_wait_time = 0.0; ///< wall seconds blocked waiting for input
-  double io_wait_time = 0.0;    ///< wall seconds blocked on real storage I/O
-  std::uint64_t buffers_in = 0;
-  std::uint64_t buffers_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t disk_bytes = 0;
-  std::uint64_t acks_sent = 0;
-};
-
-/// Per-logical-stream counters; same ledger as core::StreamMetrics so the
-/// differential tests can compare the two engines entry by entry.
-struct StreamMetrics {
-  std::string name;
-  std::uint64_t buffers = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t message_bytes = 0;  ///< payload + headers
-};
-
-/// Aggregate of one filter over all its instances.
-struct FilterAggregate {
-  std::string name;
-  int instances = 0;
-  double busy_min = 0.0;
-  double busy_avg = 0.0;
-  double busy_max = 0.0;
-  double queue_wait_avg = 0.0;
-  double work_ops = 0.0;
-};
-
-/// Everything measured during one or more UOWs on the native engine.
-struct Metrics {
-  std::vector<InstanceMetrics> instances;
-  std::vector<StreamMetrics> streams;
-  double makespan = 0.0;  ///< last UOW wall-clock seconds
-  std::uint64_t acks_total = 0;
-  std::uint64_t ack_bytes_total = 0;
-
-  [[nodiscard]] FilterAggregate aggregate_filter(int filter,
-                                                 const std::string& name) const {
-    FilterAggregate agg;
-    agg.name = name;
-    bool first = true;
-    double busy_sum = 0.0;
-    double wait_sum = 0.0;
-    for (const auto& m : instances) {
-      if (m.filter != filter) continue;
-      ++agg.instances;
-      busy_sum += m.busy_time;
-      wait_sum += m.queue_wait_time;
-      agg.work_ops += m.work_ops;
-      if (first || m.busy_time < agg.busy_min) agg.busy_min = m.busy_time;
-      if (first || m.busy_time > agg.busy_max) agg.busy_max = m.busy_time;
-      first = false;
-    }
-    if (agg.instances > 0) {
-      agg.busy_avg = busy_sum / agg.instances;
-      agg.queue_wait_avg = wait_sum / agg.instances;
-    }
-    return agg;
-  }
-
-  [[nodiscard]] std::map<std::string, std::uint64_t> buffers_in_by_class(
-      int filter) const {
-    std::map<std::string, std::uint64_t> by_class;
-    for (const auto& m : instances) {
-      if (m.filter != filter) continue;
-      by_class[m.host_class] += m.buffers_in;
-    }
-    return by_class;
-  }
-};
-
-/// Publishes this Metrics snapshot into the unified registry under dotted
-/// `<prefix>.` names — the native-engine counterpart of core::publish,
-/// emitting the same key shape (so cross-engine comparisons are key-by-key)
-/// plus the wall-clock-only counters queue_wait_time and io_wait_time.
-void publish(const Metrics& m, obs::MetricsRegistry& reg,
-             const std::string& prefix = "exec");
+// Both engines keep one ledger, core::Metrics. These aliases remain because
+// bench/e2e/ledger.hpp includes this header and names them.
+using Metrics = core::Metrics;
+using InstanceMetrics = core::InstanceMetrics;
 
 }  // namespace dc::exec

@@ -11,7 +11,7 @@ class MetricsRegistry;
 namespace dc::io {
 
 /// Counters of one per-disk I/O scheduler thread. Durations are wall-clock
-/// seconds, in the style of exec::InstanceMetrics: queue_wait is the time
+/// seconds, in the style of core::InstanceMetrics: queue_wait is the time
 /// requests sat enqueued before the disk thread picked them up, service is
 /// the time spent inside pread (plus any simulated device latency).
 struct DiskMetrics {
@@ -60,7 +60,7 @@ struct CacheMetrics {
 };
 
 /// Everything a ChunkReader measured: one DiskMetrics per scheduler thread
-/// plus the shared cache, mirroring how exec::Metrics aggregates per-instance
+/// plus the shared cache, mirroring how core::Metrics aggregates per-instance
 /// counters.
 struct IoMetrics {
   std::vector<DiskMetrics> disks;
@@ -83,8 +83,7 @@ struct IoMetrics {
 /// Publishes this IoMetrics snapshot into the unified registry under dotted
 /// `<prefix>.` names: reader counters, the `<prefix>.cache.*` group, summed
 /// disk totals, and one `<prefix>.disk.h<host>.d<disk>.*` group per
-/// scheduler thread. The storage-side counterpart of core::publish /
-/// exec::publish.
+/// scheduler thread. The storage-side counterpart of core::publish.
 void publish(const IoMetrics& m, obs::MetricsRegistry& reg,
              const std::string& prefix = "io");
 

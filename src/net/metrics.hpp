@@ -76,7 +76,7 @@ struct NetMetricsSnapshot {
 [[nodiscard]] NetMetricsSnapshot snapshot(const NetMetrics& m);
 
 /// Publishes a snapshot into the unified registry under `<prefix>.` names —
-/// the transport counterpart of core::publish / exec::publish / io::publish.
+/// the transport counterpart of core::publish / io::publish.
 void publish(const NetMetricsSnapshot& m, obs::MetricsRegistry& reg,
              const std::string& prefix = "net");
 

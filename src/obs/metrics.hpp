@@ -9,11 +9,10 @@
 namespace dc::obs {
 
 /// Unified named-counter registry: the single export surface for all of the
-/// repo's metrics vocabularies. The legacy structs (core::Metrics,
-/// exec::Metrics, io::IoMetrics) stay the engines' internal ledgers and feed
-/// the registry at finalize through their publish() overloads; benches and
-/// examples then emit ONE machine-readable JSON object instead of three
-/// dialects.
+/// repo's metrics vocabularies. The structs (core::Metrics, kept by both
+/// engines, and io::IoMetrics) stay the internal ledgers and feed the
+/// registry at finalize through their publish() overloads; benches and
+/// examples then emit ONE machine-readable JSON object.
 ///
 /// Names are dotted paths ("exec.stream.RE->Ra.payload_bytes"); values are
 /// either exact 64-bit integers (counters, byte ledgers — the conservation

@@ -6,7 +6,6 @@
 
 #include "core/runtime.hpp"
 #include "exec/engine.hpp"
-#include "exec/metrics.hpp"
 #include "viz/filters.hpp"
 
 namespace dc::viz {
@@ -84,7 +83,7 @@ RenderRun run_iso_app(sim::Topology& topo, const IsoAppSpec& spec,
 struct NativeRenderRun {
   std::vector<double> per_uow;  ///< wall-clock makespan per timestep
   double avg = 0.0;
-  exec::Metrics metrics;
+  core::Metrics metrics;
   std::shared_ptr<RenderSink> sink;
   int raster_filter = -1;
   /// Memory-governor counters (all zero when

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <unistd.h>
 #include <utility>
 
@@ -21,9 +21,21 @@ namespace {
 // ---------------------------------------------------------------------------
 // Rank result files: the only channel from the forked rank processes back to
 // the parent. Flat binary (same machine, same endianness by construction).
+// Each record lists its fields once, in a `fields(io, record)` template that
+// Put drives to write the file and Get drives to read it back; Get rejects
+// any length beyond its bound.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kResultMagic = 0x34524346;  // "FCR4" (v4: instances)
+constexpr std::uint32_t kResultMagic = 0x35524346;  // "FCR5"
+constexpr std::uint32_t kMaxCount = 1u << 16;  ///< UOWs, streams, digests, images
+constexpr std::uint32_t kMaxInstances = 1u << 20;
+constexpr std::uint32_t kMaxString = 1u << 20;
+constexpr std::int64_t kMaxPixels = std::int64_t{1} << 26;
+
+/// Mesh-handshake timeout inside each rank.
+constexpr double kMeshTimeoutS = 30.0;
+/// Per-UOW completion-barrier deadline inside each rank's engine.
+constexpr double kBarrierTimeoutS = 60.0;
 
 struct FileCloser {
   std::FILE* f = nullptr;
@@ -32,31 +44,32 @@ struct FileCloser {
   }
 };
 
-bool put_bytes(std::FILE* f, const void* p, std::size_t n) {
-  return std::fwrite(p, 1, n, f) == n;
-}
-bool get_bytes(std::FILE* f, void* p, std::size_t n) {
-  return std::fread(p, 1, n, f) == n;
+struct Put {
+  static constexpr bool kReads = false;
+  std::FILE* f;
+  bool bytes(const void* p, std::size_t n) {
+    return std::fwrite(p, 1, n, f) == n;
+  }
+};
+
+struct Get {
+  static constexpr bool kReads = true;
+  std::FILE* f;
+  bool bytes(void* p, std::size_t n) { return std::fread(p, 1, n, f) == n; }
+};
+
+template <class Io, class T>
+bool pod(Io& io, T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return io.bytes(&v, sizeof(v));
 }
 
-template <typename T>
-bool put_pod(std::FILE* f, T v) {
-  return put_bytes(f, &v, sizeof(v));
-}
-template <typename T>
-bool get_pod(std::FILE* f, T& v) {
-  return get_bytes(f, &v, sizeof(v));
-}
-
-bool put_str(std::FILE* f, const std::string& s) {
-  return put_pod(f, static_cast<std::uint32_t>(s.size())) &&
-         put_bytes(f, s.data(), s.size());
-}
-bool get_str(std::FILE* f, std::string& s) {
-  std::uint32_t n = 0;
-  if (!get_pod(f, n) || n > (1u << 20)) return false;
+template <class Io>
+bool str(Io& io, std::string& s) {
+  auto n = static_cast<std::uint32_t>(s.size());
+  if (!pod(io, n) || n > kMaxString) return false;
   s.resize(n);
-  return n == 0 || get_bytes(f, s.data(), n);
+  return n == 0 || io.bytes(s.data(), n);
 }
 
 /// Everything one rank reports back to the parent.
@@ -65,206 +78,122 @@ struct RankResult {
   std::vector<int> uow_status;       ///< exec::RunStatus per completed call
   std::vector<double> per_uow;       ///< makespans
   std::string error;                 ///< first failure
-  exec::Metrics metrics;             ///< this rank's local ledger
+  core::Metrics metrics;             ///< this rank's local ledger
   net::NetMetricsSnapshot net;
-  std::vector<core::UowOutcome> outcomes;  ///< per-UOW fault outcomes
-  core::FaultMetrics faults;               ///< cumulative fault ledger
-  core::GovernorStats governor;            ///< this rank's governor counters
+  core::GovernorStats governor;      ///< this rank's governor counters
   std::vector<std::uint64_t> digests;  ///< local sink (merge rank only)
   std::vector<Image> images;
 };
 
-bool put_outcome(std::FILE* f, const core::UowOutcome& o) {
-  bool ok = put_pod(f, static_cast<std::int32_t>(o.status)) &&
-            put_pod(f, o.makespan) && put_pod(f, o.failovers) &&
-            put_pod(f, o.retransmits) && put_pod(f, o.buffers_lost) &&
-            put_pod(f, o.buffers_duplicated) &&
-            put_pod(f, static_cast<std::uint32_t>(o.dead_filters.size()));
-  for (int d : o.dead_filters) ok = ok && put_pod(f, std::int32_t{d});
-  return ok;
+template <class Io>
+bool fields(Io& io, core::InstanceMetrics& m) {
+  return pod(io, m.filter) && pod(io, m.instance) && pod(io, m.host) &&
+         str(io, m.host_class) && pod(io, m.work_ops) &&
+         pod(io, m.busy_time) && pod(io, m.stall_time) &&
+         pod(io, m.queue_wait_time) && pod(io, m.io_wait_time) &&
+         pod(io, m.buffers_in) && pod(io, m.buffers_out) &&
+         pod(io, m.bytes_in) && pod(io, m.bytes_out) &&
+         pod(io, m.disk_bytes) && pod(io, m.acks_sent);
 }
 
-bool get_outcome(std::FILE* f, core::UowOutcome& o) {
-  std::int32_t status = 0;
-  std::uint32_t ndead = 0;
-  if (!get_pod(f, status) || !get_pod(f, o.makespan) ||
-      !get_pod(f, o.failovers) || !get_pod(f, o.retransmits) ||
-      !get_pod(f, o.buffers_lost) || !get_pod(f, o.buffers_duplicated) ||
-      !get_pod(f, ndead) || ndead > (1u << 16)) {
+template <class Io>
+bool fields(Io& io, core::StreamMetrics& s) {
+  return str(io, s.name) && pod(io, s.buffers) && pod(io, s.payload_bytes) &&
+         pod(io, s.message_bytes);
+}
+
+template <class Io>
+bool fields(Io& io, Image& img) {
+  std::int32_t w = img.width(), h = img.height();
+  if (!pod(io, w) || !pod(io, h) || w <= 0 || h <= 0 ||
+      static_cast<std::int64_t>(w) * h > kMaxPixels) {
     return false;
   }
-  o.status = static_cast<core::UowStatus>(status);
-  o.dead_filters.resize(ndead);
-  for (auto& d : o.dead_filters) {
-    std::int32_t v = 0;
-    if (!get_pod(f, v)) return false;
-    d = v;
+  const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  if constexpr (Io::kReads) {
+    std::vector<std::uint32_t> px(n);
+    if (!io.bytes(px.data(), n * sizeof(std::uint32_t))) return false;
+    img = Image(w, h);
+    img.blit(0, 0, w, h, px);
+    return true;
+  } else {
+    return io.bytes(img.pixels().data(), n * sizeof(std::uint32_t));
+  }
+}
+
+/// A length-prefixed list of pods or of records with fields().
+template <class Io, class T>
+bool list(Io& io, std::vector<T>& v, std::uint32_t max) {
+  auto n = static_cast<std::uint32_t>(v.size());
+  if (!pod(io, n) || n > max) return false;
+  v.resize(n);
+  for (T& e : v) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (!pod(io, e)) return false;
+    } else if (!fields(io, e)) {
+      return false;
+    }
   }
   return true;
 }
 
-bool put_instance(std::FILE* f, const exec::InstanceMetrics& m) {
-  return put_pod(f, std::int32_t{m.filter}) &&
-         put_pod(f, std::int32_t{m.instance}) &&
-         put_pod(f, std::int32_t{m.host}) && put_str(f, m.host_class) &&
-         put_pod(f, m.work_ops) && put_pod(f, m.busy_time) &&
-         put_pod(f, m.stall_time) && put_pod(f, m.queue_wait_time) &&
-         put_pod(f, m.io_wait_time) && put_pod(f, m.buffers_in) &&
-         put_pod(f, m.buffers_out) && put_pod(f, m.bytes_in) &&
-         put_pod(f, m.bytes_out) && put_pod(f, m.disk_bytes) &&
-         put_pod(f, m.acks_sent);
+template <class Io>
+bool fields(Io& io, core::Metrics& m) {
+  return list(io, m.instances, kMaxInstances) &&
+         list(io, m.streams, kMaxCount) && pod(io, m.makespan) &&
+         pod(io, m.acks_total) && pod(io, m.ack_bytes_total) &&
+         pod(io, m.faults);
 }
 
-bool get_instance(std::FILE* f, exec::InstanceMetrics& m) {
-  std::int32_t filter = 0, instance = 0, host = 0;
-  if (!get_pod(f, filter) || !get_pod(f, instance) || !get_pod(f, host) ||
-      !get_str(f, m.host_class) || !get_pod(f, m.work_ops) ||
-      !get_pod(f, m.busy_time) || !get_pod(f, m.stall_time) ||
-      !get_pod(f, m.queue_wait_time) || !get_pod(f, m.io_wait_time) ||
-      !get_pod(f, m.buffers_in) || !get_pod(f, m.buffers_out) ||
-      !get_pod(f, m.bytes_in) || !get_pod(f, m.bytes_out) ||
-      !get_pod(f, m.disk_bytes) || !get_pod(f, m.acks_sent)) {
-    return false;
-  }
-  m.filter = filter;
-  m.instance = instance;
-  m.host = host;
-  return true;
+template <class Io>
+bool fields(Io& io, RankResult& r) {
+  std::uint32_t magic = kResultMagic;
+  return pod(io, magic) && magic == kResultMagic && pod(io, r.rank) &&
+         list(io, r.uow_status, kMaxCount) && list(io, r.per_uow, kMaxCount) &&
+         str(io, r.error) && fields(io, r.metrics) && pod(io, r.net) &&
+         pod(io, r.governor) && list(io, r.digests, kMaxCount) &&
+         list(io, r.images, kMaxCount);
 }
 
-bool write_result(const std::string& path, const RankResult& r) {
+bool write_result(const std::string& path, RankResult& r) {
   FileCloser fc{std::fopen(path.c_str(), "wb")};
-  std::FILE* f = fc.f;
-  if (f == nullptr) return false;
-  bool ok = put_pod(f, kResultMagic) && put_pod(f, std::int32_t{r.rank});
-  ok = ok && put_pod(f, static_cast<std::uint32_t>(r.uow_status.size()));
-  for (std::size_t u = 0; ok && u < r.uow_status.size(); ++u) {
-    ok = put_pod(f, std::int32_t{r.uow_status[u]}) &&
-         put_pod(f, r.per_uow[u]);
-  }
-  ok = ok && put_str(f, r.error);
-  ok = ok && put_pod(f, static_cast<std::uint32_t>(r.metrics.streams.size()));
-  for (const auto& s : r.metrics.streams) {
-    ok = ok && put_str(f, s.name) && put_pod(f, s.buffers) &&
-         put_pod(f, s.payload_bytes) && put_pod(f, s.message_bytes);
-  }
-  ok = ok && put_pod(f, r.metrics.acks_total) &&
-       put_pod(f, r.metrics.ack_bytes_total) && put_pod(f, r.metrics.makespan);
-  ok = ok &&
-       put_pod(f, static_cast<std::uint32_t>(r.metrics.instances.size()));
-  for (const auto& m : r.metrics.instances) ok = ok && put_instance(f, m);
-  ok = ok && put_bytes(f, &r.net, sizeof(r.net));
-  ok = ok && put_pod(f, static_cast<std::uint32_t>(r.outcomes.size()));
-  for (std::size_t u = 0; ok && u < r.outcomes.size(); ++u) {
-    ok = put_outcome(f, r.outcomes[u]);
-  }
-  ok = ok && put_pod(f, r.faults.hosts_failed) &&
-       put_pod(f, r.faults.failovers) && put_pod(f, r.faults.retransmits) &&
-       put_pod(f, r.faults.buffers_lost) &&
-       put_pod(f, r.faults.buffers_duplicated);
-  ok = ok && put_bytes(f, &r.governor, sizeof(r.governor));
-  ok = ok && put_pod(f, static_cast<std::uint32_t>(r.digests.size()));
-  for (std::uint64_t d : r.digests) ok = ok && put_pod(f, d);
-  ok = ok && put_pod(f, static_cast<std::uint32_t>(r.images.size()));
-  for (const Image& img : r.images) {
-    ok = ok && put_pod(f, std::int32_t{img.width()}) &&
-         put_pod(f, std::int32_t{img.height()}) &&
-         put_bytes(f, img.pixels().data(),
-                   img.pixels().size() * sizeof(std::uint32_t));
-  }
-  return ok && std::fflush(f) == 0;
+  if (fc.f == nullptr) return false;
+  Put put{fc.f};
+  return fields(put, r) && std::fflush(fc.f) == 0;
 }
 
 bool read_result(const std::string& path, RankResult& r) {
   FileCloser fc{std::fopen(path.c_str(), "rb")};
-  std::FILE* f = fc.f;
-  if (f == nullptr) return false;
-  std::uint32_t magic = 0;
-  std::int32_t rank = -1;
-  if (!get_pod(f, magic) || magic != kResultMagic || !get_pod(f, rank)) {
-    return false;
-  }
-  r.rank = rank;
-  std::uint32_t uows = 0;
-  if (!get_pod(f, uows) || uows > (1u << 16)) return false;
-  r.uow_status.resize(uows);
-  r.per_uow.resize(uows);
-  for (std::uint32_t u = 0; u < uows; ++u) {
-    std::int32_t st = 0;
-    if (!get_pod(f, st) || !get_pod(f, r.per_uow[u])) return false;
-    r.uow_status[u] = st;
-  }
-  if (!get_str(f, r.error)) return false;
-  std::uint32_t nstreams = 0;
-  if (!get_pod(f, nstreams) || nstreams > (1u << 16)) return false;
-  r.metrics.streams.resize(nstreams);
-  for (auto& s : r.metrics.streams) {
-    if (!get_str(f, s.name) || !get_pod(f, s.buffers) ||
-        !get_pod(f, s.payload_bytes) || !get_pod(f, s.message_bytes)) {
-      return false;
-    }
-  }
-  if (!get_pod(f, r.metrics.acks_total) ||
-      !get_pod(f, r.metrics.ack_bytes_total) ||
-      !get_pod(f, r.metrics.makespan)) {
-    return false;
-  }
-  std::uint32_t ninst = 0;
-  if (!get_pod(f, ninst) || ninst > (1u << 20)) return false;
-  r.metrics.instances.resize(ninst);
-  for (auto& m : r.metrics.instances) {
-    if (!get_instance(f, m)) return false;
-  }
-  if (!get_bytes(f, &r.net, sizeof(r.net))) return false;
-  std::uint32_t nout = 0;
-  if (!get_pod(f, nout) || nout > (1u << 16)) return false;
-  r.outcomes.resize(nout);
-  for (auto& o : r.outcomes) {
-    if (!get_outcome(f, o)) return false;
-  }
-  if (!get_pod(f, r.faults.hosts_failed) || !get_pod(f, r.faults.failovers) ||
-      !get_pod(f, r.faults.retransmits) ||
-      !get_pod(f, r.faults.buffers_lost) ||
-      !get_pod(f, r.faults.buffers_duplicated)) {
-    return false;
-  }
-  if (!get_bytes(f, &r.governor, sizeof(r.governor))) return false;
-  std::uint32_t ndig = 0;
-  if (!get_pod(f, ndig) || ndig > (1u << 16)) return false;
-  r.digests.resize(ndig);
-  for (auto& d : r.digests) {
-    if (!get_pod(f, d)) return false;
-  }
-  std::uint32_t nimg = 0;
-  if (!get_pod(f, nimg) || nimg > (1u << 16)) return false;
-  r.images.clear();
-  for (std::uint32_t i = 0; i < nimg; ++i) {
-    std::int32_t w = 0, h = 0;
-    if (!get_pod(f, w) || !get_pod(f, h) || w <= 0 || h <= 0 ||
-        static_cast<std::int64_t>(w) * h > (1 << 26)) {
-      return false;
-    }
-    Image img(w, h);
-    std::vector<std::uint32_t> px(static_cast<std::size_t>(w) *
-                                  static_cast<std::size_t>(h));
-    if (!get_bytes(f, px.data(), px.size() * sizeof(std::uint32_t))) {
-      return false;
-    }
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        img.set(x, y, px[static_cast<std::size_t>(y) *
-                             static_cast<std::size_t>(w) +
-                         static_cast<std::size_t>(x)]);
-      }
-    }
-    r.images.push_back(std::move(img));
-  }
-  return true;
+  if (fc.f == nullptr) return false;
+  Get get{fc.f};
+  return fields(get, r);
 }
 
 std::string rank_file(const std::string& dir, int rank) {
   return dir + "/rank" + std::to_string(rank) + ".bin";
 }
+
+/// A fresh directory for the rank files under io::temp_root() ($TMPDIR, the
+/// same resolution the engines use for spill files, else /tmp). The
+/// destructor removes it and every rank file on any exit path, a launch
+/// that throws included.
+struct ResultDir {
+  std::string path;
+  int ranks;
+
+  explicit ResultDir(int num_ranks)
+      : path((io::temp_root() / "dc_dist_XXXXXX").string()), ranks(num_ranks) {
+    if (::mkdtemp(path.data()) == nullptr) {
+      throw std::runtime_error("run_iso_app_distributed: mkdtemp failed");
+    }
+  }
+  ResultDir(const ResultDir&) = delete;
+  ResultDir& operator=(const ResultDir&) = delete;
+  ~ResultDir() {
+    for (int r = 0; r < ranks; ++r) ::unlink(rank_file(path, r).c_str());
+    ::rmdir(path.c_str());
+  }
+};
 
 /// What one rank process does: mesh up, run every UOW in lockstep, report.
 int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
@@ -272,7 +201,7 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
               const DistributedRunOptions& opts, const std::string& dir) {
   std::vector<net::Socket> peers;
   if (env.num_ranks > 1) {
-    peers = net::connect_mesh(env, opts.mesh_timeout_s);
+    peers = net::connect_mesh(env, kMeshTimeoutS);
   }
   env.listener.close();
 
@@ -280,7 +209,7 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
   // the spec); the engine instantiates only this rank's copies.
   IsoApp app = opts.builder ? opts.builder(spec) : build_iso_app(spec);
   exec::DistributedOptions dopts;
-  dopts.barrier_timeout_s = opts.barrier_timeout_s;
+  dopts.barrier_timeout_s = kBarrierTimeoutS;
 
   RankResult result;
   result.rank = env.rank;
@@ -294,7 +223,6 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
       const exec::UowResult r = eng.run_uow_outcome();
       result.uow_status.push_back(static_cast<int>(r.status));
       result.per_uow.push_back(r.makespan);
-      result.outcomes.push_back(r.outcome);
       if (!r.ok()) {
         if (result.error.empty()) result.error = r.error;
         // Only a transport failure poisons the engine; an app-level abort
@@ -309,7 +237,6 @@ int rank_main(net::RankEnv& env, const IsoAppSpec& spec,
     eng.shutdown();
     result.metrics = eng.metrics();
     result.net = net::snapshot(eng.net_metrics());
-    result.faults = eng.fault_metrics();
     result.governor = eng.governor_stats();
     if (!opts.trace_dir.empty()) {
       obs::write_chrome_trace(trace, opts.trace_dir + "/rank" +
@@ -346,18 +273,7 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
   if (num_ranks <= 0) {
     throw std::invalid_argument("run_iso_app_distributed: num_ranks <= 0");
   }
-  std::string dir = opts.result_dir;
-  bool temp_dir = false;
-  if (dir.empty()) {
-    // Scratch space honors $TMPDIR (io::temp_root — the same resolution the
-    // engines use for spill files), falling back to /tmp.
-    std::string tmpl = (io::temp_root() / "dc_dist_XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("run_iso_app_distributed: mkdtemp failed");
-    }
-    dir = tmpl;
-    temp_dir = true;
-  }
+  const ResultDir dir(num_ranks);
 
   net::LaunchOptions lopts;
   lopts.timeout_s = opts.timeout_s;
@@ -365,7 +281,7 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
   run.ranks = net::run_local_ranks(
       num_ranks,
       [&](net::RankEnv& env) {
-        return rank_main(env, spec, cfg, uows, opts, dir);
+        return rank_main(env, spec, cfg, uows, opts, dir.path);
       },
       lopts);
 
@@ -374,7 +290,7 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
   bool all_reported = true;
   for (int r = 0; r < num_ranks; ++r) {
     RankResult rr;
-    const std::string path = rank_file(dir, r);
+    const std::string path = rank_file(dir.path, r);
     if (!read_result(path, rr)) {
       all_reported = false;
       if (run.error.empty()) {
@@ -420,35 +336,19 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
     run.metrics.ack_bytes_total += rr.metrics.ack_bytes_total;
     run.metrics.makespan = std::max(run.metrics.makespan, rr.metrics.makespan);
     run.net += rr.net;
-    // Fault aggregation: failovers / hosts_failed are observed once per
-    // rank and already global (max); retransmit / loss / duplicate counts
-    // are per-rank partial (sum); dead filters are unioned.
-    if (run.outcomes.size() < rr.outcomes.size()) {
-      run.outcomes.resize(rr.outcomes.size());
-    }
-    for (std::size_t u = 0; u < rr.outcomes.size(); ++u) {
-      core::UowOutcome& agg = run.outcomes[u];
-      const core::UowOutcome& o = rr.outcomes[u];
-      agg.status = std::max(agg.status, o.status);
-      agg.makespan = std::max(agg.makespan, o.makespan);
-      agg.failovers = std::max(agg.failovers, o.failovers);
-      agg.retransmits += o.retransmits;
-      agg.buffers_lost += o.buffers_lost;
-      agg.buffers_duplicated += o.buffers_duplicated;
-      for (int d : o.dead_filters) {
-        if (std::find(agg.dead_filters.begin(), agg.dead_filters.end(), d) ==
-            agg.dead_filters.end()) {
-          agg.dead_filters.push_back(d);
-        }
-      }
-      std::sort(agg.dead_filters.begin(), agg.dead_filters.end());
-    }
-    run.faults.hosts_failed =
-        std::max(run.faults.hosts_failed, rr.faults.hosts_failed);
-    run.faults.failovers = std::max(run.faults.failovers, rr.faults.failovers);
-    run.faults.retransmits += rr.faults.retransmits;
-    run.faults.buffers_lost += rr.faults.buffers_lost;
-    run.faults.buffers_duplicated += rr.faults.buffers_duplicated;
+    // Faults: hosts_failed / failovers are observed once per rank and
+    // already global (max), as is a maximum; the rest are per-rank partial
+    // (sum).
+    core::FaultMetrics& f = run.metrics.faults;
+    const core::FaultMetrics& rf = rr.metrics.faults;
+    f.hosts_failed = std::max(f.hosts_failed, rf.hosts_failed);
+    f.failovers = std::max(f.failovers, rf.failovers);
+    f.retransmits += rf.retransmits;
+    f.buffers_lost += rf.buffers_lost;
+    f.buffers_duplicated += rf.buffers_duplicated;
+    f.recovery_latency_total += rf.recovery_latency_total;
+    f.recovery_latency_max =
+        std::max(f.recovery_latency_max, rf.recovery_latency_max);
     // Governor counters sum across ranks; high-water / budget max (+= does
     // exactly that — budgets are per host).
     run.governor += rr.governor;
@@ -457,11 +357,6 @@ DistributedRenderRun run_iso_app_distributed(const IsoAppSpec& spec,
       run.images = std::move(rr.images);
       run.per_uow = std::move(rr.per_uow);
     }
-  }
-
-  if (temp_dir) {
-    for (int r = 0; r < num_ranks; ++r) ::unlink(rank_file(dir, r).c_str());
-    ::rmdir(dir.c_str());
   }
 
   bool procs_ok = true;

@@ -7,7 +7,6 @@
 
 #include "core/metrics.hpp"
 #include "core/runtime.hpp"
-#include "exec/metrics.hpp"
 #include "exec/engine.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
@@ -18,16 +17,9 @@ namespace dc::viz {
 struct DistributedRunOptions {
   /// Hard deadline for the whole process group (run_local_ranks watchdog).
   double timeout_s = 120.0;
-  /// Mesh-handshake timeout inside each rank.
-  double mesh_timeout_s = 30.0;
-  /// Per-UOW completion-barrier deadline inside the engine.
-  double barrier_timeout_s = 60.0;
   /// Non-empty: each rank records an obs::TraceSession (net.send/net.recv
   /// spans, credit.stall instants) and writes `<dir>/rank<k>.trace.json`.
   std::string trace_dir;
-  /// Non-empty: rank result files go here (kept afterwards); otherwise a
-  /// temp dir is used and removed.
-  std::string result_dir;
   /// App-construction hook: each rank calls it (instead of build_iso_app)
   /// to build its graph + placement + sink from the spec. Must be
   /// deterministic — every rank builds the identical app. The tiled
@@ -36,8 +28,8 @@ struct DistributedRunOptions {
 };
 
 /// Outcome of a multi-process distributed render: every rank's process
-/// status, the per-UOW engine outcomes, the merged images (from the rank
-/// hosting the single Merge copy), and the cross-rank aggregated ledgers.
+/// status, the merged images (from the rank hosting the single Merge copy),
+/// and the cross-rank aggregated ledgers.
 struct DistributedRenderRun {
   bool ok = false;  ///< every rank exited 0 with every UOW complete
   std::string error;                    ///< first failure description
@@ -49,17 +41,11 @@ struct DistributedRenderRun {
   /// Every rank's instance metrics, and the stream / ack ledgers summed
   /// across ranks. For the same spec + config + seed the ledgers match a
   /// single-process exec::Engine's exactly, and on single-copy chains so do
-  /// the per-instance counters.
-  exec::Metrics metrics;
+  /// the per-instance counters. `faults` takes the max of hosts_failed and
+  /// failovers (every rank books each dead copy set once, so per-rank counts
+  /// are already global) and sums the per-rank partial counts.
+  core::Metrics metrics;
   net::NetMetricsSnapshot net;  ///< transport counters summed across ranks
-  /// Per-UOW fault outcomes, aggregated across ranks: worst status, max
-  /// failovers (every rank books each dead copy set once, so per-rank
-  /// counts are already global), summed retransmit/loss/duplicate counts
-  /// (those are per-rank partial), dead-filter union. Only populated when
-  /// the runtime config enables failure detection.
-  std::vector<core::UowOutcome> outcomes;
-  /// Cumulative fault ledger aggregated the same way across ranks.
-  core::FaultMetrics faults;
   /// Memory-governor counters summed across ranks (high-water and budget
   /// are maxed — the budget is per host). All zero for ungoverned runs
   /// (RuntimeConfig::memory_budget_bytes == 0). The spill differential

@@ -73,7 +73,7 @@ struct Differential : ::testing::Test {
   /// For graphs where every stream's producer and consumer have one copy,
   /// the full per-stream ledger is deterministic: compare it entry by entry.
   static void expect_identical_streams(const core::Metrics& sim_m,
-                                       const exec::Metrics& nat_m) {
+                                       const core::Metrics& nat_m) {
     ASSERT_EQ(sim_m.streams.size(), nat_m.streams.size());
     for (std::size_t i = 0; i < sim_m.streams.size(); ++i) {
       EXPECT_EQ(sim_m.streams[i].name, nat_m.streams[i].name);

@@ -111,7 +111,7 @@ Shape make_shape(std::uint64_t seed) {
 }
 
 struct StressResult {
-  Metrics metrics;
+  core::Metrics metrics;
   std::shared_ptr<Collector> collector;
   int uows = 0;
 };

@@ -400,7 +400,7 @@ TEST_F(IoDifferential, IoWaitShowsUpInNativeMetrics) {
   s.workload.reader = reader.get();
   const viz::NativeRenderRun run = viz::run_iso_app_native(s, cfg, 1);
   double io_wait = 0.0;
-  for (const exec::InstanceMetrics& m : run.metrics.instances) {
+  for (const core::InstanceMetrics& m : run.metrics.instances) {
     io_wait += m.io_wait_time;
   }
   // The first chunk each copy demands cannot have completed its (20 ms

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -193,11 +201,11 @@ TEST_F(NetDifferential, SingleCopyChainLedgerAndAcksMatchNative) {
     // (filter, instance) of the native run appears once in the distributed
     // metrics with the same deterministic counters.
     using Key = std::pair<int, int>;
-    std::map<Key, exec::InstanceMetrics> native_by_copy;
+    std::map<Key, core::InstanceMetrics> native_by_copy;
     for (const auto& m : nat.metrics.instances) {
       native_by_copy[{m.filter, m.instance}] = m;
     }
-    std::map<Key, exec::InstanceMetrics> dist_by_copy;
+    std::map<Key, core::InstanceMetrics> dist_by_copy;
     for (const auto& m : dist.metrics.instances) {
       EXPECT_TRUE(dist_by_copy.emplace(Key{m.filter, m.instance}, m).second)
           << "filter " << m.filter << " instance " << m.instance
@@ -209,7 +217,9 @@ TEST_F(NetDifferential, SingleCopyChainLedgerAndAcksMatchNative) {
                    std::to_string(key.second));
       const auto it = dist_by_copy.find(key);
       ASSERT_NE(it, dist_by_copy.end());
-      const exec::InstanceMetrics& d = it->second;
+      const core::InstanceMetrics& d = it->second;
+      EXPECT_EQ(d.host, n.host);
+      EXPECT_EQ(d.host_class, n.host_class);
       EXPECT_EQ(d.buffers_in, n.buffers_in);
       EXPECT_EQ(d.buffers_out, n.buffers_out);
       EXPECT_EQ(d.bytes_in, n.bytes_in);
@@ -518,6 +528,49 @@ TEST_F(NetDifferential, SingleProcessDegenerateMatchesNative) {
   core::RuntimeConfig cfg;
   cfg.policy = core::Policy::kDemandDriven;
   expect_identical(s, cfg, /*num_ranks=*/1);
+}
+
+// A launch that throws must still remove the rank-file directory it made.
+// The death-test child points TMPDIR at a fresh directory and caps its own
+// descriptor table at the lowest free slot, so the first listener cannot
+// get a socket; afterwards that directory must be empty.
+TEST_F(NetDifferential, LaunchFailureLeavesNoTempFiles) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto s =
+      spec(viz::PipelineConfig::kRE_Ra_M, viz::HsrAlgorithm::kActivePixel,
+           viz::one_each({0}), viz::one_each({1}), 1);
+  EXPECT_EXIT(
+      {
+        std::string tmp =
+            (std::filesystem::temp_directory_path() / "dc_launch_XXXXXX")
+                .string();
+        if (::mkdtemp(tmp.data()) == nullptr) std::_Exit(3);
+        ::setenv("TMPDIR", tmp.c_str(), 1);
+        const int lowest = ::open("/dev/null", O_RDONLY);
+        ::close(lowest);
+        rlimit old{};
+        ::getrlimit(RLIMIT_NOFILE, &old);
+        rlimit capped = old;
+        capped.rlim_cur = static_cast<rlim_t>(lowest);
+        ::setrlimit(RLIMIT_NOFILE, &capped);
+        std::string what;
+        try {
+          (void)viz::run_iso_app_distributed(s, core::RuntimeConfig{}, 1, 2);
+        } catch (const std::exception& e) {
+          // Lift the cap before e.what(): UBSan's vptr check opens a pipe.
+          ::setrlimit(RLIMIT_NOFILE, &old);
+          what = e.what();
+        }
+        ::setrlimit(RLIMIT_NOFILE, &old);
+        const bool empty = std::filesystem::is_empty(tmp);
+        std::filesystem::remove_all(tmp);
+        if (what.find("socket") == std::string::npos) {
+          std::fprintf(stderr, "unexpected outcome: '%s'\n", what.c_str());
+          std::_Exit(1);
+        }
+        std::_Exit(empty ? 0 : 2);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
     if (results.back().status == exec::RunStatus::kTransportError) break;
   }
   eng.shutdown();
-  const core::FaultMetrics fm = eng.fault_metrics();
+  const core::FaultMetrics fm = eng.metrics().faults;
 
   std::ofstream out(pp.dir + "/rank" + std::to_string(env.rank) + ".txt");
   for (const exec::UowResult& r : results) {

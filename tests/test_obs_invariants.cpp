@@ -84,8 +84,7 @@ struct Tally {
   std::uint64_t acks_sent = 0;
 };
 
-template <typename Metrics>
-Tally tally(const Metrics& m, int src_filter, int wrk_filter) {
+Tally tally(const core::Metrics& m, int src_filter, int wrk_filter) {
   Tally t;
   for (const auto& im : m.instances) {
     if (im.filter == src_filter) {
@@ -172,7 +171,7 @@ TEST(ObsInvariants, NativeEngineByteLedgerBalances) {
       cfg.rng_seed = seed;
       exec::Engine eng(g, p, cfg, {});
       eng.run_uow();
-      const exec::Metrics m = eng.metrics();
+      const core::Metrics m = eng.metrics();
       const Tally t = tally(m, 0, 1);
 
       EXPECT_EQ(t.produced_buffers, static_cast<std::uint64_t>(s.buffers));
@@ -218,7 +217,7 @@ TEST(ObsInvariants, EnginesAgreeOnTheLedger) {
     eng.run_uow();
 
     const core::Metrics ms = rt.metrics();
-    const exec::Metrics mn = eng.metrics();
+    const core::Metrics mn = eng.metrics();
     ASSERT_EQ(ms.streams.size(), mn.streams.size());
     EXPECT_EQ(ms.streams[0].buffers, mn.streams[0].buffers);
     EXPECT_EQ(ms.streams[0].payload_bytes, mn.streams[0].payload_bytes);

@@ -6,14 +6,14 @@
 #include <limits>
 
 #include "core/metrics.hpp"
-#include "exec/metrics.hpp"
 #include "io/metrics.hpp"
 #include "obs/json.hpp"
 
 // MetricsRegistry semantics (typed cells, deterministic key-sorted JSON),
 // the strict JSON helper it exports through, and the publish() bridges that
-// make all three legacy metrics surfaces (core::Metrics, exec::Metrics,
-// io::IoMetrics) reachable through one MetricsRegistry::to_json().
+// make both metrics surfaces (core::Metrics, kept by the simulator and the
+// threaded engine, and io::IoMetrics) reachable through one
+// MetricsRegistry::to_json().
 
 namespace dc::obs {
 namespace {
@@ -152,6 +152,8 @@ TEST(Publish, CoreMetricsReachTheRegistry) {
   a.bytes_in = 300;
   a.bytes_out = 400;
   a.busy_time = 0.5;
+  a.queue_wait_time = 0.125;
+  a.io_wait_time = 0.25;
   a.acks_sent = 2;
   core::InstanceMetrics b = a;
   m.instances = {a, b};
@@ -161,7 +163,13 @@ TEST(Publish, CoreMetricsReachTheRegistry) {
   st.payload_bytes = 700;
   st.message_bytes = 756;
   m.streams = {st};
-  m.faults.failovers = 1;
+  m.faults.hosts_failed = 1;
+  m.faults.failovers = 2;
+  m.faults.retransmits = 3;
+  m.faults.buffers_lost = 4;
+  m.faults.buffers_duplicated = 5;
+  m.faults.recovery_latency_total = 0.75;
+  m.faults.recovery_latency_max = 0.5;
 
   MetricsRegistry reg;
   core::publish(m, reg);
@@ -172,33 +180,26 @@ TEST(Publish, CoreMetricsReachTheRegistry) {
   EXPECT_EQ(reg.value_int("sim.bytes_out"), 800);
   EXPECT_EQ(reg.value_int("sim.stream.src->wrk.buffers"), 7);
   EXPECT_EQ(reg.value_int("sim.stream.src->wrk.payload_bytes"), 700);
-  EXPECT_EQ(reg.value_int("sim.faults.failovers"), 1);
-  // Prefix override keeps several engines apart in one registry.
-  core::publish(m, reg, "sim.z");
-  EXPECT_EQ(reg.value_int("sim.z.acks_total"), 10);
-}
+  EXPECT_DOUBLE_EQ(reg.value("sim.queue_wait_time"), 0.25);  // summed
+  EXPECT_DOUBLE_EQ(reg.value("sim.io_wait_time"), 0.5);
+  EXPECT_EQ(reg.value_int("sim.faults.failovers"), 2);
 
-TEST(Publish, ExecMetricsReachTheRegistry) {
-  exec::Metrics m;
-  m.makespan = 0.25;
-  m.acks_total = 5;
-  exec::InstanceMetrics a;
-  a.buffers_out = 9;
-  a.bytes_out = 900;
-  a.queue_wait_time = 0.125;
-  m.instances = {a};
-  exec::StreamMetrics st;
-  st.name = "RE->Ra";
-  st.buffers = 9;
-  st.payload_bytes = 900;
-  m.streams = {st};
-
-  MetricsRegistry reg;
-  exec::publish(m, reg);
-  EXPECT_DOUBLE_EQ(reg.value("exec.makespan"), 0.25);
-  EXPECT_EQ(reg.value_int("exec.buffers_out"), 9);
-  EXPECT_DOUBLE_EQ(reg.value("exec.queue_wait_time"), 0.125);
-  EXPECT_EQ(reg.value_int("exec.stream.RE->Ra.payload_bytes"), 900);
+  // The threaded engine publishes the same ledger under "exec"; the prefix
+  // keeps the engines apart in one registry.
+  core::publish(m, reg, "exec");
+  EXPECT_DOUBLE_EQ(reg.value("exec.makespan"), 1.5);
+  EXPECT_EQ(reg.value_int("exec.buffers_out"), 8);
+  EXPECT_DOUBLE_EQ(reg.value("exec.queue_wait_time"), 0.25);
+  EXPECT_DOUBLE_EQ(reg.value("exec.io_wait_time"), 0.5);
+  EXPECT_EQ(reg.value_int("exec.stream.src->wrk.payload_bytes"), 700);
+  EXPECT_EQ(reg.value_int("exec.faults.hosts_failed"), 1);
+  EXPECT_EQ(reg.value_int("exec.faults.failovers"), 2);
+  EXPECT_EQ(reg.value_int("exec.faults.retransmits"), 3);
+  EXPECT_EQ(reg.value_int("exec.faults.buffers_lost"), 4);
+  EXPECT_EQ(reg.value_int("exec.faults.buffers_duplicated"), 5);
+  EXPECT_DOUBLE_EQ(reg.value("exec.faults.recovery_latency_total"), 0.75);
+  EXPECT_DOUBLE_EQ(reg.value("exec.faults.recovery_latency_max"), 0.5);
+  EXPECT_EQ(reg.value_int("sim.acks_total"), 10);  // untouched
 }
 
 TEST(Publish, IoMetricsReachTheRegistry) {
@@ -228,16 +229,14 @@ TEST(Publish, IoMetricsReachTheRegistry) {
   EXPECT_EQ(reg.value_int("io.disks"), 1);
 }
 
-TEST(Publish, AllThreeSurfacesShareOneJsonExport) {
+TEST(Publish, BothSurfacesShareOneJsonExport) {
   MetricsRegistry reg;
   core::publish(core::Metrics{}, reg);
-  exec::publish(exec::Metrics{}, reg);
   io::publish(io::IoMetrics{}, reg);
   json::Value v;
   std::string err;
   ASSERT_TRUE(json::parse(reg.to_json(), v, &err)) << err;
   EXPECT_NE(v.find("sim.makespan"), nullptr);
-  EXPECT_NE(v.find("exec.makespan"), nullptr);
   EXPECT_NE(v.find("io.read_calls"), nullptr);
 }
 
