@@ -173,12 +173,13 @@ void TileOwnerMergeFilter::process_eow(core::FilterContext& ctx) {
 // ---------------------------------------------------------------------------
 
 void TileGatherFilter::init(core::FilterContext& ctx) {
-  frame_ = viz::Image(w_.width, w_.height, sink_->background);
-  overlay_ = viz::ZBuffer(w_.width, w_.height);
+  frame_ = sink_->take_image(w_.width, w_.height);
   complete_.assign(static_cast<std::size_t>(map_->layout().num_tiles()), 0);
   partial_tiles_.clear();
+  // Charged as if the overlay were built up front, whether or not a partial
+  // tile ever makes process_buffer build it.
   ctx.charge(w_.cost.zbuffer_touch_per_entry *
-             static_cast<double>(overlay_.size()));
+             static_cast<double>(frame_.pixels().size()));
 }
 
 void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
@@ -206,6 +207,7 @@ void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
         break;
       }
       case FragKind::kPartial: {
+        if (overlay_.size() == 0) overlay_ = viz::ZBuffer(w_.width, w_.height);
         for (std::int32_t i = 0; i < h.entries; ++i) {
           viz::PixEntry e;
           std::memcpy(&e, payload + static_cast<std::size_t>(i) * sizeof(e),
@@ -225,10 +227,12 @@ void TileGatherFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
 void TileGatherFilter::process_eow(core::FilterContext& ctx) {
   const TileLayout& layout = map_->layout();
   // Backfill every tile no owner completed from the overlay z-buffer (the
-  // frame already holds the background there).
+  // frame already holds the background there). With no partial tile there
+  // is no overlay, and nothing to backfill.
   for (int t = 0; t < layout.num_tiles(); ++t) {
     if (complete_[static_cast<std::size_t>(t)] != 0) continue;
     partial_tiles_.push_back(t);
+    if (overlay_.size() == 0) continue;
     const int x0 = layout.x0(t);
     const int y0 = layout.y0(t);
     for (int y = 0; y < layout.tile_h(t); ++y) {
@@ -245,7 +249,8 @@ void TileGatherFilter::process_eow(core::FilterContext& ctx) {
     std::lock_guard<std::mutex> lk(stats_->mu);
     stats_->last_partial_tiles = partial_tiles_;
   }
-  ctx.charge(w_.cost.image_per_pixel * static_cast<double>(overlay_.size()));
+  ctx.charge(w_.cost.image_per_pixel *
+             static_cast<double>(frame_.pixels().size()));
   sink_->push(std::move(frame_));
 }
 

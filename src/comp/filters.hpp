@@ -157,6 +157,8 @@ class TileOwnerMergeFilter final : public core::Filter {
 /// into the frame (first writer wins — after a failover two owners can both
 /// believe they own a tile) and folds sparse partial entries through a
 /// full-frame overlay z-buffer that backfills every tile no owner finished.
+/// The frame is the sink's spare image (RenderSink::take_image); the overlay
+/// is built only when a partial tile arrives.
 class TileGatherFilter final : public core::Filter {
  public:
   TileGatherFilter(std::shared_ptr<const TileMap> map, viz::VizWorkload w,

@@ -975,8 +975,17 @@ void Engine::on_peer_dead(int peer) {
 
 void Engine::fail_copyset_locked(CopySetRt& cset) {
   {
+    // Recovery latency runs from the dead rank's last frame, the wall-clock
+    // analogue of the simulator's down_since, to this failover.
+    const double lat =
+        static_cast<double>(
+            now_ns() - last_heard_ns_[static_cast<std::size_t>(cset.host)].load(
+                           std::memory_order_relaxed)) *
+        1e-9;
     std::lock_guard<std::mutex> flk(faults_mu_);
     faults_.failovers++;
+    faults_.recovery_latency_total += lat;
+    faults_.recovery_latency_max = std::max(faults_.recovery_latency_max, lat);
   }
   // Survivor census. A filter whose every copy is gone turns the UOW into
   // partial loss; list order matches the simulator's (copy sets in global

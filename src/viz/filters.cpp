@@ -21,12 +21,44 @@ Camera VizWorkload::make_camera(int uow) const {
                             vary_view_per_uow ? uow : 0);
 }
 
+void RenderSink::record(const FrameSummary& s) {
+  digests.push_back(s.digest);
+  active_pixel_counts.push_back(s.active_pixels);
+}
+
 void RenderSink::push(Image&& img) {
-  digests.push_back(img.digest());
-  active_pixel_counts.push_back(img.active_pixels(background));
+  record(img.summarize(background));
   if (keep_images) {
     images.push_back(std::move(img));
+  } else {
+    spare_image_ = std::move(img);
   }
+}
+
+void RenderSink::push(ZBuffer&& zb) {
+  if (keep_images) {
+    Image img = zb.to_image(background);
+    zb.clear();
+    push(std::move(img));
+  } else {
+    record(zb.finish_frame(background));
+  }
+  spare_zb_ = std::move(zb);
+}
+
+ZBuffer RenderSink::take_zbuffer(int width, int height) {
+  if (spare_zb_.width() == width && spare_zb_.height() == height) {
+    return std::move(spare_zb_);
+  }
+  return ZBuffer(width, height);
+}
+
+Image RenderSink::take_image(int width, int height) {
+  if (spare_image_.width() == width && spare_image_.height() == height) {
+    spare_image_.fill(background);
+    return std::move(spare_image_);
+  }
+  return Image(width, height, background);
 }
 
 void for_each_block(
@@ -456,7 +488,7 @@ void RasterFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
 }
 
 void MergeFilter::init(core::FilterContext& ctx) {
-  zb_ = ZBuffer(w_.width, w_.height);
+  zb_ = sink_->take_zbuffer(w_.width, w_.height);
   ctx.charge(w_.cost.zbuffer_touch_per_entry * static_cast<double>(zb_.size()));
 }
 
@@ -469,7 +501,7 @@ void MergeFilter::process_buffer(core::FilterContext& ctx, int /*port*/,
 
 void MergeFilter::process_eow(core::FilterContext& ctx) {
   ctx.charge(w_.cost.image_per_pixel * static_cast<double>(zb_.size()));
-  sink_->push(zb_.to_image(sink_->background));
+  sink_->push(std::move(zb_));
 }
 
 // ---------------------------------------------------------------------------

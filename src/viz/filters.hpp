@@ -74,8 +74,15 @@ static_assert(sizeof(BlockHeader) == 24);
 void for_each_block(const core::Buffer& buf,
                     const std::function<void(const BlockHeader&, const float*)>& fn);
 
-/// Collector for final images across UOWs, shared between the Merge filter
-/// copies (there is exactly one) and the caller.
+/// Collector for final images across UOWs, shared between the app's one
+/// frame-ending filter copy (the merge M, or the gather G) and the caller.
+///
+/// The sink also owns the frame-sized storage across UOWs. Filters are still
+/// built per UOW: the frame-ending filter takes the spare at init and hands
+/// it back through push() at end of work. A UOW that aborts never hands its
+/// buffer back, so a dirty buffer is never reused. Nothing here is
+/// synchronized: one copy per sink, and the engine's join between UOWs
+/// orders one UOW's push before the next UOW's take.
 struct RenderSink {
   std::uint32_t background = pack_rgb(8, 8, 24);
   bool keep_images = true;  ///< false: keep digests only (saves memory)
@@ -83,7 +90,23 @@ struct RenderSink {
   std::vector<std::uint64_t> digests;
   std::vector<std::size_t> active_pixel_counts;
 
+  /// Records a finished image. Unless it is kept, its storage becomes the
+  /// spare take_image() returns.
   void push(Image&& img);
+  /// Records the frame a merge z-buffer holds and keeps the buffer, emptied,
+  /// as the spare take_zbuffer() returns.
+  void push(ZBuffer&& zb);
+  /// The spare z-buffer if it is width x height, else a new one; empty.
+  [[nodiscard]] ZBuffer take_zbuffer(int width, int height);
+  /// The spare image if it is width x height, else a new one; all
+  /// background.
+  [[nodiscard]] Image take_image(int width, int height);
+
+ private:
+  void record(const FrameSummary& s);
+
+  ZBuffer spare_zb_;
+  Image spare_image_;
 };
 
 /// One Read-side copy's work for the current UOW: its share of the host's
@@ -209,7 +232,9 @@ class RasterFilter final : public core::Filter {
 
 /// M: merges PixEntry streams into the final image (always a single copy;
 /// the merge makes the output independent of how many transparent copies of
-/// the upstream filters ran — paper Sections 1 and 3.1).
+/// the upstream filters ran — paper Sections 1 and 3.1). The single copy is
+/// also what lets it borrow the sink's z-buffer: RenderSink is
+/// unsynchronized.
 class MergeFilter final : public core::Filter {
  public:
   MergeFilter(VizWorkload w, std::shared_ptr<RenderSink> sink)

@@ -12,16 +12,22 @@ Image::Image(int width, int height, std::uint32_t fill)
       pixels_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
               fill) {}
 
-std::uint64_t Image::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(width_));
-  mix(static_cast<std::uint64_t>(height_));
-  for (std::uint32_t p : pixels_) mix(p);
-  return h;
+std::uint64_t Image::digest() const { return summarize(0).digest; }
+
+FrameSummary Image::summarize(std::uint32_t background) const {
+  Fnv1a f;
+  f.mix(static_cast<std::uint64_t>(width_));
+  f.mix(static_cast<std::uint64_t>(height_));
+  std::size_t active = 0;
+  for (std::uint32_t p : pixels_) {
+    f.mix(p);
+    active += p != background ? 1 : 0;
+  }
+  return FrameSummary{f.h, active};
+}
+
+void Image::fill(std::uint32_t rgba) {
+  std::fill(pixels_.begin(), pixels_.end(), rgba);
 }
 
 std::size_t Image::diff_count(const Image& o) const {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dc::viz {
@@ -25,11 +26,41 @@ namespace dc::viz {
   return static_cast<std::uint8_t>((rgba >> 16) & 0xff);
 }
 
+/// Running FNV-1a hash over 64-bit words: the frame digest, computed by
+/// Image::summarize and ZBuffer::finish_frame.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  }
+};
+
+/// What the sink records of a finished frame: its digest and its count of
+/// non-background pixels.
+struct FrameSummary {
+  std::uint64_t digest = 0;
+  std::size_t active_pixels = 0;
+};
+
 /// The final RGB output image produced by the Merge filter.
 class Image {
  public:
   Image() = default;
   Image(int width, int height, std::uint32_t fill = 0);
+  Image(const Image&) = default;
+  Image& operator=(const Image&) = default;
+  /// A moved-from image is 0x0, not a shape without storage.
+  Image(Image&& o) noexcept
+      : width_(std::exchange(o.width_, 0)),
+        height_(std::exchange(o.height_, 0)),
+        pixels_(std::exchange(o.pixels_, {})) {}
+  Image& operator=(Image&& o) noexcept {
+    width_ = std::exchange(o.width_, 0);
+    height_ = std::exchange(o.height_, 0);
+    pixels_ = std::exchange(o.pixels_, {});
+    return *this;
+  }
 
   [[nodiscard]] int width() const { return width_; }
   [[nodiscard]] int height() const { return height_; }
@@ -58,6 +89,12 @@ class Image {
 
   /// Pixels not equal to `background`.
   [[nodiscard]] std::size_t active_pixels(std::uint32_t background = 0) const;
+
+  /// digest() and active_pixels(background) in one pass.
+  [[nodiscard]] FrameSummary summarize(std::uint32_t background) const;
+
+  /// Sets every pixel to `rgba`.
+  void fill(std::uint32_t rgba);
 
   /// Writes a binary PPM (P6). Returns false on I/O failure.
   bool write_ppm(const std::string& path) const;

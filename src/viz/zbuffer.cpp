@@ -52,4 +52,20 @@ Image ZBuffer::to_image(std::uint32_t background) const {
   return img;
 }
 
+FrameSummary ZBuffer::finish_frame(std::uint32_t background) {
+  Fnv1a f;
+  f.mix(static_cast<std::uint64_t>(width_));
+  f.mix(static_cast<std::uint64_t>(height_));
+  std::size_t active = 0;
+  const std::size_t n = depth_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t p = depth_[i] != kEmptyDepth ? rgba_[i] : background;
+    f.mix(p);
+    active += p != background ? 1 : 0;
+    depth_[i] = kEmptyDepth;
+    rgba_[i] = 0;
+  }
+  return FrameSummary{f.h, active};
+}
+
 }  // namespace dc::viz

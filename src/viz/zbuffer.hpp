@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "viz/image.hpp"
@@ -33,6 +34,21 @@ class ZBuffer {
 
   ZBuffer() = default;
   ZBuffer(int width, int height);
+  ZBuffer(const ZBuffer&) = default;
+  ZBuffer& operator=(const ZBuffer&) = default;
+  /// A moved-from buffer is 0x0, not a shape without storage.
+  ZBuffer(ZBuffer&& o) noexcept
+      : width_(std::exchange(o.width_, 0)),
+        height_(std::exchange(o.height_, 0)),
+        depth_(std::exchange(o.depth_, {})),
+        rgba_(std::exchange(o.rgba_, {})) {}
+  ZBuffer& operator=(ZBuffer&& o) noexcept {
+    width_ = std::exchange(o.width_, 0);
+    height_ = std::exchange(o.height_, 0);
+    depth_ = std::exchange(o.depth_, {});
+    rgba_ = std::exchange(o.rgba_, {});
+    return *this;
+  }
 
   [[nodiscard]] int width() const { return width_; }
   [[nodiscard]] int height() const { return height_; }
@@ -55,6 +71,10 @@ class ZBuffer {
 
   /// Extracts the color image; inactive pixels get `background`.
   [[nodiscard]] Image to_image(std::uint32_t background = 0) const;
+
+  /// Ends a frame in one pass: returns what to_image(background).summarize(
+  /// background) would, and leaves every pixel empty, as clear() does.
+  [[nodiscard]] FrameSummary finish_frame(std::uint32_t background);
 
  private:
   int width_ = 0, height_ = 0;

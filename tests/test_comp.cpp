@@ -1,7 +1,8 @@
 // Unit tests for the tile compositor subsystem (src/comp/): tile geometry,
 // the deterministic tile->owner map and its dead-owner probe, the Image
-// sub-rect helpers, and the producer-side fragment framing (FragRouter /
-// for_each_frame) driven through a stub FilterContext.
+// sub-rect helpers, the producer-side fragment framing (FragRouter /
+// for_each_frame) and the gather filter, driven through a stub
+// FilterContext.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "comp/filters.hpp"
 #include "comp/frag.hpp"
 #include "comp/tile_map.hpp"
 #include "viz/image.hpp"
@@ -421,6 +423,94 @@ TEST(ForEachFrame, RejectsTruncatedBuffers) {
   EXPECT_THROW(
       comp::for_each_frame(buf, [](const comp::FragHeader&, const std::byte*) {}),
       std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// TileGatherFilter
+// ---------------------------------------------------------------------------
+
+/// Appends one owner -> gather frame to `buf`.
+template <typename T>
+void push_frame(core::Buffer& buf, int tile, comp::FragKind kind,
+                const std::vector<T>& records) {
+  comp::FragHeader h;
+  h.tile = tile;
+  h.producer = 0;
+  h.entries = static_cast<std::int32_t>(records.size());
+  h.kind = static_cast<std::int32_t>(kind);
+  ASSERT_TRUE(buf.push(h));
+  ASSERT_TRUE(buf.append(std::as_bytes(std::span<const T>(records))));
+}
+
+/// A dense kComplete block for `tile`, every pixel `rgba`.
+void push_complete(core::Buffer& buf, const comp::TileLayout& l, int tile,
+                   std::uint32_t rgba) {
+  push_frame(buf, tile, comp::FragKind::kComplete,
+             std::vector<std::uint32_t>(
+                 static_cast<std::size_t>(l.tile_pixels(tile)), rgba));
+}
+
+/// One gather UOW: a fresh G (filters are built per UOW) over one buffer.
+void gather_frame(const std::shared_ptr<const comp::TileMap>& map,
+                  const viz::VizWorkload& w,
+                  const std::shared_ptr<viz::RenderSink>& sink,
+                  const std::shared_ptr<comp::CompStats>& stats,
+                  const core::Buffer& buf) {
+  StubContext ctx(4096);
+  comp::TileGatherFilter g(map, w, sink, stats);
+  g.init(ctx);
+  g.process_buffer(ctx, 0, buf);
+  g.process_eow(ctx);
+}
+
+// Frames share the sink's image storage: each must start from the
+// background, and a partial tile must still backfill from the overlay that
+// only a kPartial frame builds.
+TEST(TileGather, ReusedFrameStartsCleanAndPartialTilesBackfill) {
+  const comp::TileLayout l{64, 64, 32};  // 4 tiles
+  auto map = std::make_shared<const comp::TileMap>(l, 2, 1);
+  viz::VizWorkload w;
+  w.width = l.width;
+  w.height = l.height;
+  auto sink = std::make_shared<viz::RenderSink>();
+  sink->keep_images = false;
+  auto stats = std::make_shared<comp::CompStats>();
+  const std::uint32_t bg = sink->background;
+
+  // Frame 1: tiles 0-2 complete, tile 3 partial with two entries.
+  viz::Image want1(l.width, l.height, bg);
+  core::Buffer b1(1 << 16);
+  for (int t = 0; t < 3; ++t) {
+    push_complete(b1, l, t, 0x10u + static_cast<std::uint32_t>(t));
+    want1.blit(l.x0(t), l.y0(t),
+               viz::Image(l.tile_w(t), l.tile_h(t),
+                          0x10u + static_cast<std::uint32_t>(t)));
+  }
+  const std::uint32_t p0 = l.global_index(3, 0);
+  const std::uint32_t p1 = l.global_index(3, 33);
+  push_frame(b1, 3, comp::FragKind::kPartial,
+             std::vector<viz::PixEntry>{entry(p0, 2.f, 0x77u),
+                                        entry(p1, 1.f, 0x88u),
+                                        entry(p0, 1.f, 0x66u)});
+  want1.set(static_cast<int>(p0) % l.width, static_cast<int>(p0) / l.width, 0x66u);
+  want1.set(static_cast<int>(p1) % l.width, static_cast<int>(p1) / l.width, 0x88u);
+  gather_frame(map, w, sink, stats, b1);
+  ASSERT_EQ(sink->digests.size(), 1u);
+  EXPECT_EQ(sink->digests[0], want1.digest());
+  EXPECT_EQ(stats->last_partial_tiles, std::vector<int>{3});
+
+  // Frame 2: only tile 1 arrives; nothing else may show through from frame
+  // 1, and with no partial frame every other tile stays background.
+  viz::Image want2(l.width, l.height, bg);
+  core::Buffer b2(1 << 16);
+  push_complete(b2, l, 1, 0x21u);
+  want2.blit(l.x0(1), l.y0(1), viz::Image(l.tile_w(1), l.tile_h(1), 0x21u));
+  gather_frame(map, w, sink, stats, b2);
+  ASSERT_EQ(sink->digests.size(), 2u);
+  EXPECT_EQ(sink->digests[1], want2.digest());
+  EXPECT_EQ(sink->active_pixel_counts[1],
+            static_cast<std::size_t>(l.tile_pixels(1)));
+  EXPECT_EQ(stats->last_partial_tiles, (std::vector<int>{0, 2, 3}));
 }
 
 }  // namespace

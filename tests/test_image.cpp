@@ -64,6 +64,44 @@ TEST(Image, ActivePixels) {
   EXPECT_EQ(img.active_pixels(9), 1u);
 }
 
+TEST(Image, SummarizeMatchesDigestAndActivePixels) {
+  Image img(5, 3, 9);
+  img.set(0, 0, 5);
+  img.set(4, 2, 7);
+  img.set(2, 1, 9);  // written, but equal to the background
+  const FrameSummary s = img.summarize(9);
+  EXPECT_EQ(s.digest, img.digest());
+  EXPECT_EQ(s.active_pixels, img.active_pixels(9));
+  EXPECT_EQ(s.active_pixels, 2u);
+}
+
+TEST(Image, FillSetsEveryPixel) {
+  Image img(3, 2, 1);
+  img.set(1, 1, 4);
+  img.fill(6);
+  EXPECT_EQ(img, Image(3, 2, 6));
+}
+
+// A moved-from image has no storage, so it must not keep a shape that
+// at()/set() would index into.
+TEST(Image, MoveLeavesAnEmptyImage) {
+  Image a(4, 3, 2);
+  const Image b(std::move(a));
+  EXPECT_EQ(b, Image(4, 3, 2));
+  EXPECT_EQ(a.width(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.height(), 0);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a, Image());
+
+  Image c(2, 2, 8);
+  Image d(5, 5);
+  d = std::move(c);
+  EXPECT_EQ(d, Image(2, 2, 8));
+  EXPECT_EQ(c.width(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.height(), 0);
+  EXPECT_TRUE(c.empty());
+}
+
 TEST(Image, WritePpmProducesValidHeader) {
   Image img(2, 2);
   img.set(0, 0, pack_rgb(255, 0, 0));

@@ -262,7 +262,8 @@ int stamped_rank_main(net::RankEnv& env, const ChildParams& pp) {
   }
   out << "faults " << fm.hosts_failed << ' ' << fm.failovers << ' '
       << fm.retransmits << ' ' << fm.buffers_lost << ' '
-      << fm.buffers_duplicated << '\n';
+      << fm.buffers_duplicated << ' ' << fm.recovery_latency_total << ' '
+      << fm.recovery_latency_max << '\n';
   out.flush();
   return out.good() ? 0 : 10;
 }
@@ -278,6 +279,8 @@ struct RankReport {
   std::map<int, std::set<std::uint32_t>> stamps;
   std::uint64_t hosts_failed = 0;
   std::uint64_t cum_failovers = 0;
+  double recovery_latency_total = 0.0;  ///< wall seconds, whole run
+  double recovery_latency_max = 0.0;
 };
 
 RankReport read_report(const std::string& dir, int rank) {
@@ -315,7 +318,8 @@ RankReport read_report(const std::string& dir, int rank) {
       }
     } else if (tag == "faults") {
       std::uint64_t rt = 0, lost = 0, dup = 0;
-      ls >> rep.hosts_failed >> rep.cum_failovers >> rt >> lost >> dup;
+      ls >> rep.hosts_failed >> rep.cum_failovers >> rt >> lost >> dup >>
+          rep.recovery_latency_total >> rep.recovery_latency_max;
     }
   }
   return rep;
@@ -450,6 +454,8 @@ TEST(NetFault, CleanRunUnderFaultToleranceIsComplete) {
         EXPECT_EQ(u.outcome.buffers_duplicated, 0u);
       }
       EXPECT_EQ(rep.hosts_failed, 0u);
+      EXPECT_EQ(rep.recovery_latency_total, 0.0);
+      EXPECT_EQ(rep.recovery_latency_max, 0.0);
     }
     for (int u = 0; u < 2; ++u) {
       EXPECT_EQ(stamp_union(reps, u), all_stamps(kBuffers)) << "uow " << u;
@@ -516,6 +522,9 @@ TEST(NetFault, KillOneOfFourRanksMidUowMatchesSimulatorGoldens) {
                               std::to_string(u));
       }
       EXPECT_EQ(rep.hosts_failed, 1u);
+      // The failover charged the time since the victim last spoke.
+      EXPECT_GT(rep.recovery_latency_max, 0.0);
+      EXPECT_GE(rep.recovery_latency_total, rep.recovery_latency_max);
     }
     // Payload: the victim recorded at most kKillAfter stamps before dying
     // (the trigger fires after the Nth insert), so the survivors hold the

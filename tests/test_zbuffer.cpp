@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -67,6 +68,87 @@ TEST(ZBuffer, ClearResets) {
   zb.apply(0, 1.f, 5);
   zb.clear();
   EXPECT_EQ(zb.active_pixels(), 0u);
+}
+
+// A moved-from buffer has no storage; with its old shape, apply() would
+// silently drop every fragment as out of range.
+TEST(ZBuffer, MoveLeavesAnEmptyBuffer) {
+  ZBuffer a(3, 2);
+  a.apply(4, 1.f, 7);
+  const ZBuffer b(std::move(a));
+  EXPECT_EQ(b.width(), 3);
+  EXPECT_EQ(b.size(), 6u);
+  EXPECT_EQ(b.rgba_at(4), 7u);
+  EXPECT_EQ(a.width(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.height(), 0);
+  EXPECT_EQ(a.size(), 0u);
+
+  ZBuffer c(2, 2);
+  ZBuffer d(5, 5);
+  d = std::move(c);
+  EXPECT_EQ(d.width(), 2);
+  EXPECT_EQ(d.height(), 2);
+  EXPECT_EQ(d.size(), 4u);
+  EXPECT_EQ(c.width(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.height(), 0);
+  EXPECT_EQ(c.size(), 0u);
+}
+
+/// finish_frame against the path it replaces: to_image(bg), then digest()
+/// and active_pixels(bg) on the image.
+void expect_finish_frame_matches(int width, int height, std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << width << "x" << height << " seed " << seed);
+  constexpr std::uint32_t kBackground = 0x00180808u;
+  constexpr float kMax = std::numeric_limits<float>::max();
+  sim::Rng rng(seed);
+  ZBuffer zb(width, height);
+  const auto n = static_cast<std::uint32_t>(zb.size());
+  // About a third of the pixels get a fragment; among them, colors equal
+  // to the background (active, yet not counted) and the extreme depths.
+  for (std::uint32_t k = 0; k < n / 3 + 1; ++k) {
+    const auto i = static_cast<std::uint32_t>(rng.below(n));
+    float depth = static_cast<float>(rng.uniform(-10.0, 10.0));
+    std::uint32_t rgba = static_cast<std::uint32_t>(rng.below(1u << 24));
+    switch (rng.below(8)) {
+      case 0: rgba = kBackground; break;
+      case 1: depth = 0.f; break;
+      case 2: depth = -0.f; break;
+      case 3: depth = kMax; break;
+      case 4: depth = -kMax; break;
+      default: break;
+    }
+    zb.apply(i, depth, rgba);
+  }
+  // The extremes land on fixed pixels too, so even 1x1 sees one of them.
+  zb.apply(0, -0.f, kBackground);
+  zb.apply(n - 1, kMax, 3);
+
+  const Image img = zb.to_image(kBackground);
+  const FrameSummary s = zb.finish_frame(kBackground);
+  EXPECT_EQ(s.digest, img.digest());
+  EXPECT_EQ(s.active_pixels, img.active_pixels(kBackground));
+  EXPECT_EQ(zb.width(), width);
+  EXPECT_EQ(zb.height(), height);
+  ASSERT_EQ(zb.size(), static_cast<std::size_t>(n));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ASSERT_EQ(zb.depth_at(i), ZBuffer::kEmptyDepth) << i;
+    ASSERT_EQ(zb.rgba_at(i), 0u) << i;
+  }
+}
+
+TEST(ZBuffer, FinishFrameMatchesImageDigestAndEmptiesTheBuffer) {
+  expect_finish_frame_matches(1, 1, 1);
+  expect_finish_frame_matches(7, 3, 2);
+  expect_finish_frame_matches(3, 64, 3);
+  expect_finish_frame_matches(512, 512, 4);
+  expect_finish_frame_matches(1024, 1024, 5);
+}
+
+TEST(ZBuffer, FinishFrameOfAnEmptyBufferIsAllBackground) {
+  ZBuffer zb(6, 4);
+  const FrameSummary s = zb.finish_frame(5);
+  EXPECT_EQ(s.digest, Image(6, 4, 5).digest());
+  EXPECT_EQ(s.active_pixels, 0u);
 }
 
 TEST(FragmentWins, IsAStrictTotalOrderRelation) {
