@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -51,9 +50,7 @@ struct Runtime::Delivery {
 /// All transparent copies of one filter on one host share input queues; a
 /// buffer arriving at the copy set is processed by whichever copy idles
 /// first (demand-based balance within a host, paper Section 2).
-struct Runtime::CopySet {
-  int filter = -1;
-  int host = -1;
+struct Runtime::CopySet : UowPlan::CopySet {
   std::vector<Instance*> copies;
   std::vector<std::deque<Delivery>> queues;  ///< one per input port
   std::vector<int> eow_pending;              ///< producer copies yet to EOW, per port
@@ -74,27 +71,14 @@ struct Runtime::CopySet {
     }
     return true;
   }
-  [[nodiscard]] bool queues_empty() const {
-    for (const auto& q : queues) {
-      if (!q.empty()) return false;
-    }
-    return true;
-  }
-};
-
-/// Runtime view of one logical stream: the consumer copy sets it fans out to.
-struct Runtime::StreamRt {
-  const StreamSpec* spec = nullptr;
-  int id = -1;
-  std::vector<CopySet*> targets;
-  std::vector<int> wrr_order;  ///< target indices, one entry per consumer copy
 };
 
 /// Writer-side state of one producer copy for one output port: the shared
 /// flow-control / policy state machine plus the simulator-only stream
 /// binding and fault-tolerance retention.
 struct SimWriter : WriterState {
-  Runtime::StreamRt* stream = nullptr;
+  const UowPlan::Stream* stream = nullptr;
+  std::span<Runtime::CopySet> targets;  ///< the stream's consumer copy sets
 
   /// Per-target fault-tolerance state (sized only when detection != kNone).
   /// `outstanding` retains a copy of every dispatched buffer until the
@@ -122,13 +106,9 @@ struct DiskDemand {
 };
 
 /// One transparent copy of a filter for the current UOW.
-struct Runtime::Instance {
+struct Runtime::Instance : UowPlan::Copy {
   enum class State { kCreated, kInit, kIdle, kBusy, kDraining, kFinished };
 
-  Runtime* rt = nullptr;
-  int filter = -1;
-  int index = -1;         ///< global index among the filter's copies
-  int copy_in_host = -1;  ///< index within the copy set
   CopySet* cset = nullptr;
   std::unique_ptr<Filter> user;
   std::vector<SimWriter> writers;  ///< per output port
@@ -145,7 +125,6 @@ struct Runtime::Instance {
   bool in_init = false;
 
   InstanceMetrics m;
-  sim::Rng rng;
   sim::SimTime busy_start = 0.0;
   sim::SimTime drain_start = 0.0;
   obs::Track* otrack = nullptr;  ///< lazily bound by Runtime::obs_track
@@ -154,26 +133,16 @@ struct Runtime::Instance {
 };
 
 /// FilterContext implementation bound to one Instance.
-struct Runtime::ContextImpl final : FilterContext {
-  Instance* inst = nullptr;
+struct Runtime::ContextImpl final : PlanContext {
+  ContextImpl(Runtime& runtime, Instance& instance)
+      : PlanContext(runtime.plan_, instance), rt(&runtime), inst(&instance) {}
 
-  [[nodiscard]] int instance_index() const override { return inst->index; }
-  [[nodiscard]] int num_instances() const override {
-    return inst->rt->total_copies(inst->filter);
-  }
-  [[nodiscard]] int copy_in_host() const override { return inst->copy_in_host; }
-  [[nodiscard]] int copies_on_host() const override {
-    return static_cast<int>(inst->cset->copies.size());
-  }
-  [[nodiscard]] int host() const override { return inst->cset->host; }
-  [[nodiscard]] const std::string& host_class() const override {
-    return inst->rt->topo_.host(inst->cset->host).host_class();
-  }
-  [[nodiscard]] int uow_index() const override { return inst->rt->uow_index_; }
+  Runtime* rt;
+  Instance* inst;
+
   [[nodiscard]] sim::SimTime now() const override {
-    return inst->rt->topo_.sim().now();
+    return rt->topo_.sim().now();
   }
-  [[nodiscard]] sim::Rng& rng() override { return inst->rng; }
 
   void charge(double ops) override {
     if (ops < 0.0) throw std::invalid_argument("charge: negative ops");
@@ -181,11 +150,10 @@ struct Runtime::ContextImpl final : FilterContext {
   }
 
   void read_disk(int local_disk, std::uint64_t bytes) override {
-    const auto& spec = inst->rt->graph_.filter(inst->filter);
-    if (!spec.is_source) {
+    if (!is_source()) {
       throw std::logic_error("read_disk is only available to source filters");
     }
-    auto& host = inst->rt->topo_.host(inst->cset->host);
+    auto& host = rt->topo_.host(inst->host);
     if (local_disk < 0 || local_disk >= host.num_disks()) {
       throw std::out_of_range("read_disk: no such local disk");
     }
@@ -206,21 +174,6 @@ struct Runtime::ContextImpl final : FilterContext {
   [[nodiscard]] Buffer make_buffer(int port) const override {
     return Buffer(buffer_bytes(port));
   }
-
-  [[nodiscard]] int num_input_ports() const override {
-    return inst->rt->graph_.filter(inst->filter).num_input_ports;
-  }
-  [[nodiscard]] int num_output_ports() const override {
-    return inst->rt->graph_.filter(inst->filter).num_output_ports;
-  }
-  [[nodiscard]] std::size_t buffer_bytes(int out_port) const override {
-    if (out_port < 0 || out_port >= num_output_ports()) {
-      throw std::out_of_range("buffer_bytes: bad output port");
-    }
-    const int stream =
-        inst->writers[static_cast<std::size_t>(out_port)].stream->id;
-    return inst->rt->buffer_bytes_[static_cast<std::size_t>(stream)];
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -234,37 +187,23 @@ Runtime::Runtime(sim::Topology& topo, const Graph& graph,
       placement_(placement),
       config_(std::move(config)),
       base_rng_(config_.rng_seed) {
-  graph_.validate();
+  validate(graph_, placement_);
   validate(config_);
+  for (int f = 0; f < graph_.num_filters(); ++f) {
+    for (const auto& e : placement_.entries(f)) {
+      if (e.host >= topo_.size()) {
+        throw std::invalid_argument("Runtime: placement host out of range");
+      }
+    }
+  }
+  for (int h = 0; h < topo_.size(); ++h) {
+    host_classes_.push_back(topo_.host(h).host_class());
+  }
   if (fault_tolerant()) {
     failure_listener_ =
         topo_.add_host_failure_listener([this](int h) { on_host_failed(h); });
     partition_listener_ = topo_.add_partition_listener(
         [this](int h, bool p) { on_host_partitioned(h, p); });
-  }
-  // Negotiate buffer sizes: prefer the default, clamped to [min, max].
-  buffer_bytes_.resize(static_cast<std::size_t>(graph_.num_streams()));
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    buffer_bytes_[static_cast<std::size_t>(s)] = std::clamp(
-        config_.default_buffer_bytes, spec.min_buffer_bytes, spec.max_buffer_bytes);
-  }
-  // Placement sanity.
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const auto& entries = placement_.entries(f);
-    if (entries.empty()) {
-      throw std::invalid_argument("Runtime: filter '" + graph_.filter(f).name +
-                                  "' has no placement");
-    }
-    for (const auto& e : entries) {
-      if (e.host >= topo_.size()) {
-        throw std::invalid_argument("Runtime: placement host out of range");
-      }
-    }
-    if (!graph_.filter(f).is_source && graph_.in_streams(f).empty()) {
-      throw std::invalid_argument("Runtime: non-source filter '" +
-                                  graph_.filter(f).name + "' has no inputs");
-    }
   }
   // Stream metrics slots.
   metrics_.streams.resize(static_cast<std::size_t>(graph_.num_streams()));
@@ -278,17 +217,13 @@ Runtime::~Runtime() {
   if (partition_listener_ != 0) topo_.remove_listener(partition_listener_);
 }
 
-int Runtime::total_copies(int filter) const {
-  return placement_.total_copies(filter);
-}
-
 void Runtime::emit_trace(const char* tag, const Instance& inst,
                          const std::string& detail) {
   if (!trace_.enabled()) return;
   trace_.emit(topo_.sim().now(), tag,
               graph_.filter(inst.filter).name + "#" +
                   std::to_string(inst.index) + "@h" +
-                  std::to_string(inst.cset->host) +
+                  std::to_string(inst.host) +
                   (detail.empty() ? "" : " " + detail));
 }
 
@@ -297,7 +232,7 @@ obs::Track* Runtime::obs_track(Instance& inst) {
   if (inst.otrack == nullptr) {
     inst.otrack = &obs_->track("sim:" + graph_.filter(inst.filter).name + "#" +
                                std::to_string(inst.index) + "@h" +
-                               std::to_string(inst.cset->host));
+                               std::to_string(inst.host));
   }
   return inst.otrack;
 }
@@ -320,104 +255,41 @@ void Runtime::reset_metrics() {
 // ---------------------------------------------------------------------------
 
 void Runtime::build_uow() {
-  // Copy sets: one per (filter, host) with at least one copy.
-  std::vector<std::vector<CopySet*>> csets_by_filter(
-      static_cast<std::size_t>(graph_.num_filters()));
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const int in_ports = graph_.filter(f).num_input_ports;
-    for (const auto& e : placement_.entries(f)) {
-      auto cset = std::make_unique<CopySet>();
-      cset->filter = f;
-      cset->host = e.host;
-      cset->queues.resize(static_cast<std::size_t>(in_ports));
-      cset->eow_pending.resize(static_cast<std::size_t>(in_ports), 0);
-      csets_by_filter[static_cast<std::size_t>(f)].push_back(cset.get());
-      copysets_.push_back(std::move(cset));
-    }
+  plan_ = UowPlan(graph_, placement_, config_, host_classes_, uow_index_,
+                  base_rng_);
+  for (const UowPlan::CopySet& planned : plan_.copysets()) {
+    CopySet& cs = copysets_.emplace_back(planned);
+    const int in_ports = graph_.filter(planned.filter).num_input_ports;
+    cs.queues.resize(static_cast<std::size_t>(in_ports));
+    cs.eow_pending.resize(static_cast<std::size_t>(in_ports), 0);
   }
-
-  // Stream runtime: target copy sets and the WRR expansion.
-  stream_rt_.clear();
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    auto rt = std::make_unique<StreamRt>();
-    rt->spec = &graph_.stream(s);
-    rt->id = s;
-    const int consumer = rt->spec->to_filter;
-    const auto& consumer_entries = placement_.entries(consumer);
-    const auto& consumer_sets = csets_by_filter[static_cast<std::size_t>(consumer)];
-    for (std::size_t i = 0; i < consumer_sets.size(); ++i) {
-      rt->targets.push_back(consumer_sets[i]);
-      for (int c = 0; c < consumer_entries[i].copies; ++c) {
-        rt->wrr_order.push_back(static_cast<int>(i));
-      }
-    }
-    stream_rt_.push_back(std::move(rt));
-  }
-
-  // Instances.
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const auto& entries = placement_.entries(f);
-    const auto& sets = csets_by_filter[static_cast<std::size_t>(f)];
-    const auto outs = graph_.out_streams(f);
-    int global = 0;
-    for (std::size_t p = 0; p < entries.size(); ++p) {
-      for (int c = 0; c < entries[p].copies; ++c) {
-        auto inst = std::make_unique<Instance>();
-        inst->rt = this;
-        inst->filter = f;
-        inst->index = global++;
-        inst->copy_in_host = c;
-        inst->cset = sets[p];
-        inst->user = graph_.filter(f).factory();
-        if (!inst->user) {
-          throw std::runtime_error("Runtime: factory for '" +
-                                   graph_.filter(f).name + "' returned null");
-        }
-        if (graph_.filter(f).is_source &&
-            dynamic_cast<SourceFilter*>(inst->user.get()) == nullptr) {
-          throw std::runtime_error("Runtime: source filter '" +
-                                   graph_.filter(f).name +
-                                   "' does not derive from SourceFilter");
-        }
-        for (int out : outs) {
-          SimWriter w;
-          w.stream = stream_rt_[static_cast<std::size_t>(out)].get();
-          w.reset(w.stream->targets.size());
-          if (fault_tolerant()) w.ft.resize(w.stream->targets.size());
-          inst->writers.push_back(std::move(w));
-        }
-        inst->m.filter = f;
-        inst->m.instance = inst->index;
-        inst->m.host = entries[p].host;
-        inst->m.host_class = topo_.host(entries[p].host).host_class();
-        inst->rng = base_rng_.split(
-            static_cast<std::uint64_t>(f) * 1000003ULL +
-            static_cast<std::uint64_t>(inst->index) * 257ULL +
-            static_cast<std::uint64_t>(uow_index_));
-        inst->ctx = std::make_unique<ContextImpl>();
-        inst->ctx->inst = inst.get();
-        sets[p]->copies.push_back(inst.get());
-        instances_.push_back(std::move(inst));
-      }
-    }
-  }
-
   // EOW bookkeeping: each consumer port expects one marker per producer copy.
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    const int producers = placement_.total_copies(spec.from_filter);
-    for (CopySet* t : stream_rt_[static_cast<std::size_t>(s)]->targets) {
-      t->eow_pending[static_cast<std::size_t>(spec.to_port)] = producers;
+  for (const UowPlan::Stream& s : plan_.streams()) {
+    for (CopySet& t : s.targets(copysets_)) {
+      t.eow_pending[static_cast<std::size_t>(s.spec->to_port)] = s.producers;
     }
   }
 
-  remaining_instances_ = static_cast<int>(instances_.size());
-
-  live_copies_.assign(static_cast<std::size_t>(graph_.num_filters()), 0);
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    live_copies_[static_cast<std::size_t>(f)] = placement_.total_copies(f);
+  for (const UowPlan::Copy& copy : plan_.copies()) {
+    auto inst = std::make_unique<Instance>(copy);
+    inst->cset = &copysets_[static_cast<std::size_t>(copy.copyset)];
+    inst->user = plan_.instantiate(copy);
+    inst->writers.resize(
+        static_cast<std::size_t>(graph_.filter(copy.filter).num_output_ports));
+    for (std::size_t port = 0; port < inst->writers.size(); ++port) {
+      SimWriter& w = inst->writers[port];
+      w.stream = &plan_.out_stream(copy.filter, static_cast<int>(port));
+      w.targets = w.stream->targets(copysets_);
+      w.reset(w.targets.size());
+      if (fault_tolerant()) w.ft.resize(w.targets.size());
+    }
+    inst->m = copy.ledger();
+    inst->ctx = std::make_unique<ContextImpl>(*this, *inst);
+    inst->cset->copies.push_back(inst.get());
+    instances_.push_back(std::move(inst));
   }
-  dead_filters_.clear();
+  remaining_instances_ = static_cast<int>(instances_.size());
+  census_.reset(plan_);
 }
 
 void Runtime::teardown_uow() {
@@ -426,12 +298,27 @@ void Runtime::teardown_uow() {
   }
   instances_.clear();
   copysets_.clear();
-  stream_rt_.clear();
 }
 
 sim::SimTime Runtime::run_uow() { return run_uow_outcome().makespan; }
 
 UowOutcome Runtime::run_uow_outcome() {
+  if (!failure_.empty()) {
+    throw std::logic_error("Runtime: unusable after a failed UOW (" +
+                           failure_ + ")");
+  }
+  try {
+    return run_uow_unguarded();
+  } catch (const std::exception& e) {
+    failure_ = "UOW " + std::to_string(uow_index_) + ": " + e.what();
+    throw;
+  } catch (...) {
+    failure_ = "UOW " + std::to_string(uow_index_) + ": unknown exception";
+    throw;
+  }
+}
+
+UowOutcome Runtime::run_uow_unguarded() {
   auto& sim = topo_.sim();
   const sim::SimTime t0 = sim.now();
   const FaultMetrics faults_before = metrics_.faults;
@@ -442,12 +329,12 @@ UowOutcome Runtime::run_uow_outcome() {
   // copy sets are declared dead up front (stale members are known at UOW
   // admission), so routing excludes them from the first buffer on.
   if (fault_tolerant()) {
-    for (auto& cs : copysets_) {
-      if (topo_.host(cs->host).alive() || cs->down) continue;
-      cs->down = true;
-      cs->down_since = sim.now();
-      for (Instance* c : cs->copies) kill_instance(*c);
-      fail_copyset(*cs);
+    for (CopySet& cs : copysets_) {
+      if (topo_.host(cs.host).alive() || cs.down) continue;
+      cs.down = true;
+      cs.down_since = sim.now();
+      for (Instance* c : cs.copies) kill_instance(*c);
+      fail_copyset(cs);
     }
   }
 
@@ -456,12 +343,6 @@ UowOutcome Runtime::run_uow_outcome() {
   }
   const std::uint64_t event_limit = sim.events_fired() + config_.max_events_per_uow;
   while (remaining_instances_ > 0 && sim.step()) {
-    static const bool debug = std::getenv("DC_DEBUG") != nullptr;
-    if (debug && sim.events_fired() % 10000 == 0) {
-      std::fprintf(stderr, "ev=%llu t=%.12f remaining=%d\n",
-                   (unsigned long long)sim.events_fired(), sim.now(),
-                   remaining_instances_);
-    }
     if (sim.events_fired() > event_limit) {
       throw std::runtime_error(
           "Runtime: UOW exceeded max_events_per_uow (livelock?) at t=" +
@@ -484,20 +365,8 @@ UowOutcome Runtime::run_uow_outcome() {
   sim.run();
   in_uow_ = false;
 
-  UowOutcome out;
-  out.makespan = makespan;
-  out.dead_filters = dead_filters_;
-  out.failovers = metrics_.faults.failovers - faults_before.failovers;
-  out.retransmits = metrics_.faults.retransmits - faults_before.retransmits;
-  out.buffers_lost = metrics_.faults.buffers_lost - faults_before.buffers_lost;
-  out.buffers_duplicated =
-      metrics_.faults.buffers_duplicated - faults_before.buffers_duplicated;
-  const bool perturbed =
-      out.failovers > 0 || out.retransmits > 0 || out.buffers_lost > 0 ||
-      metrics_.faults.hosts_failed > faults_before.hosts_failed;
-  out.status = !dead_filters_.empty() ? UowStatus::kPartialLoss
-               : perturbed            ? UowStatus::kDegraded
-                                      : UowStatus::kComplete;
+  const UowOutcome out =
+      census_.outcome(faults_before, metrics_.faults, makespan);
   teardown_uow();
   ++uow_index_;
   return out;
@@ -516,7 +385,7 @@ void Runtime::start_instance(Instance& inst) {
   const double ops = inst.charged_ops;
   inst.m.work_ops += ops;
   inst.busy_start = topo_.sim().now();
-  topo_.host(inst.cset->host).cpu().submit(ops, [this, &inst] {
+  topo_.host(inst.host).cpu().submit(ops, [this, &inst] {
     inst.m.busy_time += topo_.sim().now() - inst.busy_start;
     if (auto* tk = obs_track(inst)) {
       // Spans are reconstructed at completion: the simulator knows a job's
@@ -563,7 +432,7 @@ void Runtime::run_source_io_then_compute(Instance& inst) {
   // Issue all declared reads concurrently; compute starts when the last one
   // completes (per-disk FIFO serializes same-disk requests).
   auto remaining = std::make_shared<int>(static_cast<int>(inst.disk_demands.size()));
-  auto& host = topo_.host(inst.cset->host);
+  auto& host = topo_.host(inst.host);
   for (const auto& d : inst.disk_demands) {
     host.disk(d.disk).read(d.bytes, [this, &inst, remaining] {
       if (--*remaining == 0) submit_compute(inst);
@@ -578,7 +447,7 @@ void Runtime::submit_compute(Instance& inst) {
   inst.charged_ops = 0.0;
   inst.m.work_ops += ops;
   inst.busy_start = topo_.sim().now();
-  topo_.host(inst.cset->host).cpu().submit(ops, [this, &inst] { on_compute_done(inst); });
+  topo_.host(inst.host).cpu().submit(ops, [this, &inst] { on_compute_done(inst); });
 }
 
 void Runtime::try_consume(Instance& inst) {
@@ -637,7 +506,7 @@ void Runtime::try_consume(Instance& inst) {
       tk->instant(topo_.sim().now(), "dd.ack",
                   static_cast<std::int64_t>(config_.ack_bytes), target);
     }
-    topo_.network().send(cset.host, producer->cset->host, config_.ack_bytes,
+    topo_.network().send(cset.host, producer->host, config_.ack_bytes,
                          [this, producer, out_port, target] {
                            on_ack(*producer, out_port, target);
                          });
@@ -705,13 +574,12 @@ void Runtime::drain(Instance& inst) {
 
 int Runtime::pick_target(Instance& inst, int out_port, int key) {
   SimWriter& w = inst.writers[static_cast<std::size_t>(out_port)];
-  const auto& targets = w.stream->targets;
   return w.pick(
       effective_policy(config_.policy, *w.stream->spec), config_.window,
       w.stream->wrr_order,
-      [&](int t) { return targets[static_cast<std::size_t>(t)]->declared_dead; },
+      [&](int t) { return w.targets[static_cast<std::size_t>(t)].declared_dead; },
       [&](int t) {
-        return targets[static_cast<std::size_t>(t)]->host == inst.cset->host;
+        return w.targets[static_cast<std::size_t>(t)].host == inst.host;
       },
       key);
 }
@@ -724,8 +592,8 @@ bool Runtime::dispatch_one(Instance& inst) {
     // the buffer. Drop it (counted) so the producer — and the UOW — can
     // still terminate in degraded mode.
     bool any_live = false;
-    for (CopySet* t : wq.stream->targets) {
-      if (!t->declared_dead) { any_live = true; break; }
+    for (const CopySet& t : wq.targets) {
+      if (!t.declared_dead) { any_live = true; break; }
     }
     if (!any_live) {
       metrics_.faults.buffers_lost++;
@@ -740,7 +608,7 @@ bool Runtime::dispatch_one(Instance& inst) {
   if (target < 0) return false;
 
   SimWriter& w = inst.writers[static_cast<std::size_t>(out.port)];
-  CopySet* cset = w.stream->targets[static_cast<std::size_t>(target)];
+  CopySet* cset = &w.targets[static_cast<std::size_t>(target)];
 
   w.on_dispatch(target);
   if (auto* tk = obs_track(inst)) {
@@ -781,7 +649,7 @@ bool Runtime::dispatch_one(Instance& inst) {
   const std::uint64_t msg_bytes = d.buf.size() + config_.header_bytes;
   // Move the delivery through the network; it lands in the copy set queue.
   auto shared = std::make_shared<Delivery>(std::move(d));
-  topo_.network().send(inst.cset->host, cset->host, msg_bytes,
+  topo_.network().send(inst.host, cset->host, msg_bytes,
                        [this, cset, shared] { deliver(*cset, std::move(*shared)); });
   arm_ack_timer(inst, out_port, target);
   return true;
@@ -799,10 +667,8 @@ void Runtime::deliver(CopySet& cset, Delivery d) {
     }
     return;
   }
-  const int port = graph_.stream(d.producer
-                                      ->writers[static_cast<std::size_t>(d.out_port)]
-                                      .stream->id)
-                       .to_port;
+  const int port =
+      d.producer->writers[static_cast<std::size_t>(d.out_port)].stream->spec->to_port;
   cset.queues[static_cast<std::size_t>(port)].push_back(std::move(d));
   wake_copies(cset);
 }
@@ -833,9 +699,9 @@ void Runtime::finish_instance(Instance& inst) {
   // buffers (FIFO links guarantee markers cannot overtake data).
   for (auto& w : inst.writers) {
     const int in_port = w.stream->spec->to_port;
-    for (CopySet* t : w.stream->targets) {
-      topo_.network().send(inst.cset->host, t->host, config_.eow_bytes,
-                           [this, t, in_port] { on_eow_marker(*t, in_port); });
+    for (CopySet& t : w.targets) {
+      topo_.network().send(inst.host, t.host, config_.eow_bytes,
+                           [this, cs = &t, in_port] { on_eow_marker(*cs, in_port); });
     }
   }
 
@@ -864,7 +730,7 @@ void Runtime::on_ack(Instance& producer, int out_port, int target) {
   SimWriter& w = producer.writers[static_cast<std::size_t>(out_port)];
   if (fault_tolerant()) {
     auto& ft = w.ft[static_cast<std::size_t>(target)];
-    CopySet& cs = *w.stream->targets[static_cast<std::size_t>(target)];
+    CopySet& cs = w.targets[static_cast<std::size_t>(target)];
     if (cs.declared_dead || ft.outstanding.empty()) {
       // The ack raced the failover: its buffer was already reclaimed and
       // retransmitted elsewhere, so a consumer may process it twice.
@@ -900,15 +766,16 @@ void Runtime::on_ack(Instance& producer, int out_port, int target) {
 void Runtime::on_host_failed(int host) {
   if (!in_uow_ || !fault_tolerant()) return;
   metrics_.faults.hosts_failed++;
+  census_.host_failed();
   const sim::SimTime now = topo_.sim().now();
-  for (auto& cs : copysets_) {
-    if (cs->host != host || cs->down) continue;
-    cs->down = true;
-    cs->down_since = now;
-    for (Instance* c : cs->copies) kill_instance(*c);
+  for (CopySet& cs : copysets_) {
+    if (cs.host != host || cs.down) continue;
+    cs.down = true;
+    cs.down_since = now;
+    for (Instance* c : cs.copies) kill_instance(*c);
     // Membership mode learns of the crash instantly and fails over now;
     // ack-timeout mode waits for producers to notice the silence.
-    if (config_.detection == FailureDetection::kMembership) fail_copyset(*cs);
+    if (config_.detection == FailureDetection::kMembership) fail_copyset(cs);
   }
 }
 
@@ -918,11 +785,11 @@ void Runtime::on_host_partitioned(int host, bool partitioned) {
   // The membership service reports the partition; fence the unreachable
   // copy sets exactly like crashed ones (their hosts stay alive, but no
   // message can reach them). Ack-timeout mode detects this on its own.
-  for (auto& cs : copysets_) {
-    if (cs->host != host || cs->down || cs->declared_dead) continue;
-    if (cs->suspected_since < 0.0) cs->suspected_since = topo_.sim().now();
-    for (Instance* c : cs->copies) kill_instance(*c);
-    fail_copyset(*cs);
+  for (CopySet& cs : copysets_) {
+    if (cs.host != host || cs.down || cs.declared_dead) continue;
+    if (cs.suspected_since < 0.0) cs.suspected_since = topo_.sim().now();
+    for (Instance* c : cs.copies) kill_instance(*c);
+    fail_copyset(cs);
   }
 }
 
@@ -930,15 +797,9 @@ void Runtime::fail_copyset(CopySet& cset) {
   if (cset.declared_dead) return;
   cset.declared_dead = true;
   const sim::SimTime now = topo_.sim().now();
-  metrics_.faults.failovers++;
   const sim::SimTime since =
       cset.down_since >= 0.0 ? cset.down_since : cset.suspected_since;
-  if (since >= 0.0) {
-    const sim::SimTime lat = now - since;
-    metrics_.faults.recovery_latency_total += lat;
-    metrics_.faults.recovery_latency_max =
-        std::max(metrics_.faults.recovery_latency_max, lat);
-  }
+  record_failover(metrics_.faults, since >= 0.0 ? now - since : -1.0);
   if (trace_.enabled()) {
     trace_.emit(now, "failover",
                 graph_.filter(cset.filter).name + "@h" +
@@ -954,9 +815,8 @@ void Runtime::fail_copyset(CopySet& cset) {
     if (inst->dead) continue;
     for (std::size_t p = 0; p < inst->writers.size(); ++p) {
       SimWriter& w = inst->writers[p];
-      const auto& targets = w.stream->targets;
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (targets[t] == &cset) {
+      for (std::size_t t = 0; t < w.targets.size(); ++t) {
+        if (&w.targets[t] == &cset) {
           reclaim_outstanding(*inst, static_cast<int>(p), static_cast<int>(t));
         }
       }
@@ -977,18 +837,17 @@ void Runtime::kill_instance(Instance& inst) {
   metrics_.faults.buffers_lost += inst.pending.size();
   inst.pending.clear();
   emit_trace("copy-dead", inst, "");
-  int& live = live_copies_[static_cast<std::size_t>(inst.filter)];
-  if (--live == 0) dead_filters_.push_back(inst.filter);
+  census_.copies_died(inst.filter, 1);
   // Settle its end-of-work obligations: every consumer copy set was
   // expecting one marker from this copy and will never get it.
   for (auto& w : inst.writers) {
     const int in_port = w.stream->spec->to_port;
-    for (CopySet* t : w.stream->targets) {
-      auto& pending = t->eow_pending[static_cast<std::size_t>(in_port)];
+    for (CopySet& t : w.targets) {
+      auto& pending = t.eow_pending[static_cast<std::size_t>(in_port)];
       if (pending > 0) --pending;
     }
-    for (CopySet* t : w.stream->targets) {
-      if (!t->declared_dead && !t->down) wake_copies(*t);
+    for (CopySet& t : w.targets) {
+      if (!t.declared_dead && !t.down) wake_copies(t);
     }
   }
   if (--remaining_instances_ == 0) uow_done_at_ = now;
@@ -1034,7 +893,7 @@ void Runtime::arm_ack_timer(Instance& inst, int out_port, int target) {
   }
   auto& ft = w.ft[static_cast<std::size_t>(target)];
   if (ft.timer != 0 || ft.outstanding.empty()) return;
-  if (w.stream->targets[static_cast<std::size_t>(target)]->declared_dead) return;
+  if (w.targets[static_cast<std::size_t>(target)].declared_dead) return;
   const sim::SimTime delay =
       std::min(config_.ack_timeout *
                    std::pow(config_.ack_timeout_backoff, ft.strikes),
@@ -1052,7 +911,7 @@ void Runtime::on_ack_timeout(Instance& inst, int out_port, int target,
   auto& ft = w.ft[static_cast<std::size_t>(target)];
   ft.timer = 0;
   if (inst.dead || !in_uow_) return;
-  CopySet& cs = *w.stream->targets[static_cast<std::size_t>(target)];
+  CopySet& cs = w.targets[static_cast<std::size_t>(target)];
   if (cs.declared_dead || ft.outstanding.empty()) return;
   if (ft.acks_seen != acks_snapshot) {
     // Progress since the timer was armed — the set is slow, not dead.

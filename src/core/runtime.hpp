@@ -9,6 +9,7 @@
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/policy.hpp"
+#include "core/uow_plan.hpp"
 #include "obs/recorder.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
@@ -95,7 +96,10 @@ class Runtime {
 
   /// Runs one unit of work to completion. Fresh filter objects are created
   /// per UOW (init / process / finalize cycle). Returns the UOW makespan in
-  /// virtual seconds.
+  /// virtual seconds. A UOW that throws — a filter callback, the livelock or
+  /// deadlock guard — leaves the runtime unusable: the simulation still holds
+  /// events bound to the failed UOW, so every later call throws
+  /// std::logic_error naming the first failure.
   sim::SimTime run_uow();
 
   /// Like run_uow(), but reports what happened: whether the UOW ran clean,
@@ -125,18 +129,17 @@ class Runtime {
   [[nodiscard]] obs::TraceSession* obs() const { return obs_; }
 
   [[nodiscard]] const RuntimeConfig& config() const { return config_; }
-  [[nodiscard]] int total_copies(int filter) const;
   [[nodiscard]] sim::Topology& topology() { return topo_; }
 
   // Implementation types, public only so that helper structs in the
   // translation unit can reference them; not part of the stable API.
   struct Instance;
   struct CopySet;
-  struct StreamRt;
   struct ContextImpl;
   struct Delivery;
 
  private:
+  UowOutcome run_uow_unguarded();
   void build_uow();
   void teardown_uow();
   void start_instance(Instance& inst);
@@ -181,18 +184,19 @@ class Runtime {
   const Graph& graph_;
   const Placement& placement_;
   RuntimeConfig config_;
-  std::vector<std::size_t> buffer_bytes_;  ///< negotiated, per stream
+  std::vector<std::string> host_classes_;  ///< by host id, from the topology
 
   // Live only between build_uow() and teardown_uow().
+  UowPlan plan_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  std::vector<std::unique_ptr<CopySet>> copysets_;
-  std::vector<std::unique_ptr<StreamRt>> stream_rt_;
+  std::vector<CopySet> copysets_;  ///< in plan order; never resized mid-UOW
   int remaining_instances_ = 0;
   sim::SimTime uow_done_at_ = 0.0;
   int uow_index_ = 0;
   bool in_uow_ = false;
-  std::vector<int> live_copies_;   ///< per filter, current UOW
-  std::vector<int> dead_filters_;  ///< filters that lost every copy, this UOW
+  UowCensus census_;
+  /// What the first failed UOW threw; non-empty once the runtime is unusable.
+  std::string failure_;
 
   sim::Topology::ListenerId failure_listener_ = 0;
   sim::Topology::ListenerId partition_listener_ = 0;

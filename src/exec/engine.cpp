@@ -7,6 +7,7 @@
 #include <deque>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -83,15 +84,11 @@ struct Engine::Delivery {
 };
 
 /// All transparent copies of one (filter, host) placement entry. Every rank
-/// materializes the full copy-set list (so stream target indices agree
-/// across processes — they index the same placement everywhere); only sets
-/// in this process get a channel and instances. The copies of a set share
-/// its channel, demand-balancing within the host exactly like the
-/// simulator's copy sets share their queues.
-struct Engine::CopySetRt {
-  int filter = -1;
-  int host = -1;
-  std::vector<Instance*> copies;  ///< in-process sets only
+/// materializes the plan's full copy-set list (so stream target indices
+/// agree across processes); only sets in this process get a channel and
+/// instances. The copies of a set share its channel, demand-balancing within
+/// the host exactly like the simulator's copy sets share their queues.
+struct Engine::CopySetRt : core::UowPlan::CopySet {
   /// Overflow store for the governed regime (null when ungoverned or in
   /// another process). Declared before the channel so the channel — whose
   /// spill hooks hold a raw pointer to it — is destroyed first.
@@ -103,27 +100,22 @@ struct Engine::CopySetRt {
   /// Written under state_mu_; atomic so dispatch's dead-target predicate
   /// can read it under only the producer's wmu.
   std::atomic<bool> down{false};
-  int copies_n = 0;      ///< total copies in this set (in-process or not)
-  int first_global = 0;  ///< global index of the set's first copy
   /// In-process consumer sets only: per input stream, which producer copies
   /// have settled their end-of-work marker (frame arrival OR death
   /// settlement) — the exactly-once guard between the two. state_mu_.
   std::map<int, std::vector<char>> eow_seen;
 };
 
-/// Runtime view of one logical stream: the consumer copy sets it fans out to.
-struct Engine::StreamRt {
-  const core::StreamSpec* spec = nullptr;
-  int id = -1;
-  std::vector<CopySetRt*> targets;
-  std::vector<int> wrr_order;  ///< target indices, one entry per consumer copy
-  int window = 0;              ///< dispatch window of its writers
-};
-
 /// Writer-side state of one producer copy for one output port: the shared
 /// flow-control / policy state machine plus the stream binding.
 struct Engine::Writer : core::WriterState {
-  StreamRt* stream = nullptr;
+  const core::UowPlan::Stream* stream = nullptr;
+  std::span<CopySetRt> targets;  ///< the stream's consumer copy sets
+  /// Dispatch window. Governed, a stream whose targets all run in this
+  /// process is not window-limited — memory residency is the governor's
+  /// call and spill absorbs overflow. A stream that crosses the wire keeps
+  /// `window`: the credit protocol meters it.
+  int window = 0;
   /// Per target: envelope copies of dispatched buffers not yet the
   /// consumer's responsibility (released by CREDIT under RR/WRR, by ACK
   /// under DD; reclaimed wholesale at failover). Payload storage is shared,
@@ -136,11 +128,7 @@ struct Engine::Writer : core::WriterState {
 /// `writers` (and `retry`) are guarded by wmu — the owner dispatches;
 /// consumer threads and the peer-link recv threads (applying CREDIT / ACK
 /// frames) release windows. Everything else is owner-thread only.
-struct Engine::Instance {
-  Engine* eng = nullptr;
-  int filter = -1;
-  int index = -1;         ///< global index among the filter's copies
-  int copy_in_host = -1;  ///< index within the copy set
+struct Engine::Instance : core::UowPlan::Copy {
   CopySetRt* cset = nullptr;
   std::unique_ptr<core::Filter> user;
   std::vector<Writer> writers;  ///< per output port
@@ -157,35 +145,24 @@ struct Engine::Instance {
 
   core::InstanceMetrics m;
   std::vector<StreamDelta> stream_local;  ///< per stream, owner thread only
-  sim::Rng rng;
   std::unique_ptr<ContextImpl> ctx;
   obs::Track* otrack = nullptr;  ///< lazily bound by Engine::obs_track
 };
 
-/// FilterContext implementation bound to one Instance. Mirrors the
-/// simulator's context so filters run unmodified; charge() / read_disk() only
-/// account demand here — real time is whatever the hardware takes.
-struct Engine::ContextImpl final : core::FilterContext {
-  Instance* inst = nullptr;
+/// FilterContext implementation bound to one Instance. Identity, ports and
+/// buffer sizes come from the plan, as in the simulator, so filters run
+/// unmodified; charge() / read_disk() only account demand here — real time
+/// is whatever the hardware takes.
+struct Engine::ContextImpl final : core::PlanContext {
+  ContextImpl(const core::UowPlan& plan, Instance& instance)
+      : core::PlanContext(plan, instance), inst(&instance) {}
+
+  Instance* inst;
   Clock::time_point epoch;
 
-  [[nodiscard]] int instance_index() const override { return inst->index; }
-  [[nodiscard]] int num_instances() const override {
-    return inst->eng->pl().total_copies(inst->filter);
-  }
-  [[nodiscard]] int copy_in_host() const override { return inst->copy_in_host; }
-  [[nodiscard]] int copies_on_host() const override {
-    return static_cast<int>(inst->cset->copies.size());
-  }
-  [[nodiscard]] int host() const override { return inst->cset->host; }
-  [[nodiscard]] const std::string& host_class() const override {
-    return inst->eng->host_class_of(inst->cset->host);
-  }
-  [[nodiscard]] int uow_index() const override { return inst->eng->uow_index_; }
   [[nodiscard]] sim::SimTime now() const override {
     return seconds_since(epoch);  // wall seconds since the UOW started
   }
-  [[nodiscard]] sim::Rng& rng() override { return inst->rng; }
 
   void charge(double ops) override {
     if (ops < 0.0) throw std::invalid_argument("charge: negative ops");
@@ -193,7 +170,7 @@ struct Engine::ContextImpl final : core::FilterContext {
   }
 
   void read_disk(int local_disk, std::uint64_t bytes) override {
-    if (!inst->eng->graph_.filter(inst->filter).is_source) {
+    if (!is_source()) {
       throw std::logic_error("read_disk is only available to source filters");
     }
     if (local_disk < 0) {
@@ -221,21 +198,6 @@ struct Engine::ContextImpl final : core::FilterContext {
     // frame points its payload iovec at — the zero-copy contract.
     return core::BufferArena::global().make(buffer_bytes(port));
   }
-
-  [[nodiscard]] int num_input_ports() const override {
-    return inst->eng->graph_.filter(inst->filter).num_input_ports;
-  }
-  [[nodiscard]] int num_output_ports() const override {
-    return inst->eng->graph_.filter(inst->filter).num_output_ports;
-  }
-  [[nodiscard]] std::size_t buffer_bytes(int out_port) const override {
-    if (out_port < 0 || out_port >= num_output_ports()) {
-      throw std::out_of_range("buffer_bytes: bad output port");
-    }
-    const int stream =
-        inst->writers[static_cast<std::size_t>(out_port)].stream->id;
-    return inst->eng->buffer_bytes_[static_cast<std::size_t>(stream)];
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -261,7 +223,7 @@ Engine::Engine(const core::Graph& graph, const core::Placement& placement,
       placement_(placement),
       config_(std::move(config)),
       opts_(opts),
-      hosts_(std::move(hosts)),
+      host_classes_(std::move(hosts.host_classes)),
       rank_(rank),
       num_ranks_(num_ranks),
       peer_sockets_(std::move(peers)),
@@ -270,7 +232,7 @@ Engine::Engine(const core::Graph& graph, const core::Placement& placement,
       last_heard_ns_(static_cast<std::size_t>(std::max(num_ranks, 0))),
       hosts_counted_(static_cast<std::size_t>(std::max(num_ranks, 0)), 0),
       base_rng_(config_.rng_seed) {
-  graph_.validate();
+  core::validate(graph_, placement_);
   core::validate(config_);
   if (num_ranks_ <= 0 || rank_ < 0 || rank_ >= num_ranks_) {
     throw std::invalid_argument("exec::Engine: bad rank/num_ranks");
@@ -290,25 +252,7 @@ Engine::Engine(const core::Graph& graph, const core::Placement& placement,
                                   std::to_string(r));
     }
   }
-  // Negotiate buffer sizes exactly like the simulator: prefer the default,
-  // clamped to [min, max]. Identical sizes are a precondition for
-  // bit-comparable outputs across engines.
-  buffer_bytes_.resize(static_cast<std::size_t>(graph_.num_streams()));
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    buffer_bytes_[static_cast<std::size_t>(s)] =
-        std::clamp(config_.default_buffer_bytes, spec.min_buffer_bytes,
-                   spec.max_buffer_bytes);
-  }
   for (int f = 0; f < graph_.num_filters(); ++f) {
-    if (placement_.entries(f).empty()) {
-      throw std::invalid_argument("exec::Engine: filter '" +
-                                  graph_.filter(f).name + "' has no placement");
-    }
-    if (!graph_.filter(f).is_source && graph_.in_streams(f).empty()) {
-      throw std::invalid_argument("exec::Engine: non-source filter '" +
-                                  graph_.filter(f).name + "' has no inputs");
-    }
     for (const auto& e : placement_.entries(f)) {
       if (num_ranks_ > 1 && (e.host < 0 || e.host >= num_ranks_)) {
         throw std::invalid_argument(
@@ -345,21 +289,12 @@ void Engine::set_obs(obs::TraceSession* session) {
                    : nullptr;
 }
 
-const std::string& Engine::host_class_of(int host) const {
-  static const std::string kNative = "native";
-  if (host >= 0 &&
-      static_cast<std::size_t>(host) < hosts_.host_classes.size()) {
-    return hosts_.host_classes[static_cast<std::size_t>(host)];
-  }
-  return kNative;
-}
-
 obs::Track* Engine::obs_track(Instance& inst) {
   if (obs_ == nullptr) return nullptr;
   if (inst.otrack == nullptr) {
     inst.otrack = &obs_->track("exec:" + graph_.filter(inst.filter).name +
                                "#" + std::to_string(inst.index) + "@h" +
-                               std::to_string(inst.cset->host));
+                               std::to_string(inst.host));
   }
   return inst.otrack;
 }
@@ -444,201 +379,118 @@ void Engine::monitor_main() {
 // ---------------------------------------------------------------------------
 
 void Engine::build_uow() {
-  // Copy sets for EVERY placement entry, in this process or not, in the
-  // creation order all engines share — a stream's target index must mean
-  // the same copy set on every rank (and inside every BufferRoute on the
-  // wire). The instance order and RNG split salts below replicate the
-  // simulator too, so every engine hands filters the same random streams.
-  std::vector<std::vector<CopySetRt*>> csets_by_filter(
-      static_cast<std::size_t>(graph_.num_filters()));
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const int in_ports = graph_.filter(f).num_input_ports;
+  // Every rank builds the same plan, so a stream's target index means the
+  // same copy set on every rank (and inside every BufferRoute on the wire),
+  // and every copy draws the random stream it would get in the simulator.
+  plan_ = core::UowPlan(graph_, pl(), config_, host_classes_, uow_index_,
+                        base_rng_);
+  std::vector<CopySetRt>(plan_.copysets().size()).swap(copysets_);
+  for (std::size_t i = 0; i < copysets_.size(); ++i) {
+    CopySetRt& cset = copysets_[i];
+    static_cast<core::UowPlan::CopySet&>(cset) = plan_.copysets()[i];
+    if (!in_process(cset.host)) continue;  // remote: a routing target only
+    const int in_ports = graph_.filter(cset.filter).num_input_ports;
     // A channel with a producer on another rank absorbs everything the
     // credit windows allow outstanding — up to `window` un-dequeued buffers
     // per producer copy and port — so recv-side pushes never block (the
     // deadlock-freedom invariant of the credit loop). A channel fed only
     // from this process holds `window` per port; its producers block.
     std::size_t max_producers = 1;
+    std::size_t slot_bytes = 1;
     bool wire_fed = false;
-    for (int s : graph_.in_streams(f)) {
-      const int from = graph_.stream(s).from_filter;
-      max_producers = std::max(
-          max_producers, static_cast<std::size_t>(pl().total_copies(from)));
-      for (const auto& e : pl().entries(from)) {
+    for (const core::UowPlan::Stream& s : plan_.streams()) {
+      if (s.spec->to_filter != cset.filter) continue;
+      max_producers =
+          std::max(max_producers, static_cast<std::size_t>(s.producers));
+      slot_bytes = std::max(slot_bytes, s.buffer_bytes);
+      for (const auto& e : pl().entries(s.spec->from_filter)) {
         wire_fed = wire_fed || !in_process(e.host);
       }
     }
-    const std::size_t capacity = static_cast<std::size_t>(config_.window) *
-                                 (wire_fed ? max_producers : 1);
-    int first_global = 0;
-    for (const auto& e : pl().entries(f)) {
-      auto cset = std::make_unique<CopySetRt>();
-      cset->filter = f;
-      cset->host = e.host;
-      cset->copies_n = e.copies;
-      cset->first_global = first_global;
-      first_global += e.copies;
-      if (!in_process(e.host)) {
-        // Remote: a routing target only.
-      } else if (governor_ != nullptr && in_ports > 0) {
-        // Governed regime: `window` becomes the per-port floor and the
-        // channel spills overflow into this copy set's scratch file. Recv
-        // threads STILL never block — a governed push spills on elastic
-        // denial instead of waiting. The slot size registered as the floor
-        // entitlement is the largest negotiated buffer among the filter's
-        // input streams.
-        cset->channel.init(in_ports, static_cast<std::size_t>(config_.window),
-                           &aborted_);
-        std::size_t slot_bytes = 1;
-        for (int s : graph_.in_streams(f)) {
-          slot_bytes =
-              std::max(slot_bytes, buffer_bytes_[static_cast<std::size_t>(s)]);
-        }
-        cset->spill = std::make_unique<io::SpillFile>(
-            std::filesystem::path(config_.spill_dir));
-        io::SpillFile* file = cset->spill.get();
-        SpillOps<Delivery> ops;
-        ops.size = [](const Delivery& d) {
-          return std::max<std::size_t>(d.buf.capacity(), 1);
-        };
-        ops.evict = [file](Delivery& d) {
-          const std::uint64_t token = file->append(d.buf.bytes());
-          // Keep routing metadata in a storage-less shell; the payload now
-          // lives only in the spill file (route / origin stay in d).
-          core::Buffer shell = core::Buffer::adopt(nullptr, d.buf.capacity());
-          shell.set_route_key(d.buf.route_key());
-          d.buf = std::move(shell);
-          return token;
-        };
-        ops.restore = [file](Delivery& d, std::uint64_t token) {
-          auto slot = core::BufferArena::global().lease(d.buf.capacity());
-          file->read(token, *slot);  // CRC32C-verified
-          core::Buffer full =
-              core::Buffer::adopt(std::move(slot), d.buf.capacity());
-          full.set_route_key(d.buf.route_key());
-          d.buf = std::move(full);
-        };
-        cset->channel.bind_governor(governor_.get(), slot_bytes,
-                                    std::move(ops));
-      } else {
-        cset->channel.init(in_ports, capacity, &aborted_);
-      }
-      csets_by_filter[static_cast<std::size_t>(f)].push_back(cset.get());
-      copysets_.push_back(std::move(cset));
-    }
-  }
-
-  // Stream runtime: target copy sets, the WRR expansion, and the dispatch
-  // window. Governed, a stream whose targets all run in this process is
-  // not window-limited — memory residency is the governor's call and spill
-  // absorbs overflow, so a fixed window would only reintroduce the stall
-  // this regime removes. A stream that crosses the wire keeps `window`:
-  // the credit protocol meters it.
-  stream_rt_.clear();
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    auto rt = std::make_unique<StreamRt>();
-    rt->spec = &graph_.stream(s);
-    rt->id = s;
-    const int consumer = rt->spec->to_filter;
-    const auto& consumer_entries = pl().entries(consumer);
-    const auto& consumer_sets =
-        csets_by_filter[static_cast<std::size_t>(consumer)];
-    bool all_in_process = true;
-    for (std::size_t i = 0; i < consumer_sets.size(); ++i) {
-      rt->targets.push_back(consumer_sets[i]);
-      all_in_process = all_in_process && in_process(consumer_sets[i]->host);
-      for (int c = 0; c < consumer_entries[i].copies; ++c) {
-        rt->wrr_order.push_back(static_cast<int>(i));
-      }
-    }
-    rt->window = governor_ != nullptr && all_in_process ? kElasticWindow
-                                                        : config_.window;
-    stream_rt_.push_back(std::move(rt));
-  }
-
-  // Instances. The RNG is split for EVERY copy in the global order — also
-  // the remote ones never constructed here — so each instance draws the
-  // exact stream it would get in a single process (split() mutates
-  // base_rng_).
-  local_by_filter_.assign(static_cast<std::size_t>(graph_.num_filters()), {});
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    const auto& entries = pl().entries(f);
-    const auto& sets = csets_by_filter[static_cast<std::size_t>(f)];
-    const auto outs = graph_.out_streams(f);
-    local_by_filter_[static_cast<std::size_t>(f)].assign(
-        static_cast<std::size_t>(pl().total_copies(f)), nullptr);
-    int global = 0;
-    for (std::size_t p = 0; p < entries.size(); ++p) {
-      for (int c = 0; c < entries[p].copies; ++c) {
-        const int index = global++;
-        sim::Rng rng = base_rng_.split(
-            static_cast<std::uint64_t>(f) * 1000003ULL +
-            static_cast<std::uint64_t>(index) * 257ULL +
-            static_cast<std::uint64_t>(uow_index_));
-        if (!in_process(entries[p].host)) continue;
-        auto inst = std::make_unique<Instance>();
-        inst->eng = this;
-        inst->filter = f;
-        inst->index = index;
-        inst->copy_in_host = c;
-        inst->cset = sets[p];
-        inst->user = graph_.filter(f).factory();
-        if (!inst->user) {
-          throw std::runtime_error("exec::Engine: factory for '" +
-                                   graph_.filter(f).name + "' returned null");
-        }
-        if (graph_.filter(f).is_source &&
-            dynamic_cast<core::SourceFilter*>(inst->user.get()) == nullptr) {
-          throw std::runtime_error("exec::Engine: source filter '" +
-                                   graph_.filter(f).name +
-                                   "' does not derive from SourceFilter");
-        }
-        for (int out : outs) {
-          Writer w;
-          w.stream = stream_rt_[static_cast<std::size_t>(out)].get();
-          w.reset(w.stream->targets.size());
-          if (fault_tolerant()) w.retained.assign(w.stream->targets.size(), {});
-          inst->writers.push_back(std::move(w));
-        }
-        inst->m.filter = f;
-        inst->m.instance = index;
-        inst->m.host = entries[p].host;
-        inst->m.host_class = host_class_of(entries[p].host);
-        inst->stream_local.resize(
-            static_cast<std::size_t>(graph_.num_streams()));
-        inst->rng = rng;
-        inst->ctx = std::make_unique<ContextImpl>();
-        inst->ctx->inst = inst.get();
-        sets[p]->copies.push_back(inst.get());
-        local_by_filter_[static_cast<std::size_t>(f)]
-                        [static_cast<std::size_t>(index)] = inst.get();
-        instances_.push_back(std::move(inst));
-      }
+    if (governor_ != nullptr && in_ports > 0) {
+      // Governed regime: `window` becomes the per-port floor and the
+      // channel spills overflow into this copy set's scratch file. Recv
+      // threads STILL never block — a governed push spills on elastic
+      // denial instead of waiting. The slot size registered as the floor
+      // entitlement is the largest negotiated buffer among the filter's
+      // input streams.
+      cset.channel.init(in_ports, static_cast<std::size_t>(config_.window),
+                        &aborted_);
+      cset.spill = std::make_unique<io::SpillFile>(
+          std::filesystem::path(config_.spill_dir));
+      io::SpillFile* file = cset.spill.get();
+      SpillOps<Delivery> ops;
+      ops.size = [](const Delivery& d) {
+        return std::max<std::size_t>(d.buf.capacity(), 1);
+      };
+      ops.evict = [file](Delivery& d) {
+        const std::uint64_t token = file->append(d.buf.bytes());
+        // Keep routing metadata in a storage-less shell; the payload now
+        // lives only in the spill file (route / origin stay in d).
+        core::Buffer shell = core::Buffer::adopt(nullptr, d.buf.capacity());
+        shell.set_route_key(d.buf.route_key());
+        d.buf = std::move(shell);
+        return token;
+      };
+      ops.restore = [file](Delivery& d, std::uint64_t token) {
+        auto slot = core::BufferArena::global().lease(d.buf.capacity());
+        file->read(token, *slot);  // CRC32C-verified
+        core::Buffer full =
+            core::Buffer::adopt(std::move(slot), d.buf.capacity());
+        full.set_route_key(d.buf.route_key());
+        d.buf = std::move(full);
+      };
+      cset.channel.bind_governor(governor_.get(), slot_bytes, std::move(ops));
+    } else {
+      cset.channel.init(in_ports,
+                        static_cast<std::size_t>(config_.window) *
+                            (wire_fed ? max_producers : 1),
+                        &aborted_);
     }
   }
 
   // EOW bookkeeping for in-process consumer sets: one marker per producer
   // copy of the stream, whichever rank that producer runs on (remote ones
   // arrive as EOW frames).
-  for (int s = 0; s < graph_.num_streams(); ++s) {
-    const auto& spec = graph_.stream(s);
-    const int producers = pl().total_copies(spec.from_filter);
-    for (CopySetRt* t : stream_rt_[static_cast<std::size_t>(s)]->targets) {
-      if (!in_process(t->host)) continue;
-      t->channel.expect_eow(spec.to_port, producers);
+  for (const core::UowPlan::Stream& s : plan_.streams()) {
+    for (CopySetRt& cset : s.targets(copysets_)) {
+      if (!in_process(cset.host)) continue;
+      cset.channel.expect_eow(s.spec->to_port, s.producers);
       if (fault_tolerant()) {
-        t->eow_seen[s].assign(static_cast<std::size_t>(producers), 0);
+        cset.eow_seen[s.id].assign(static_cast<std::size_t>(s.producers), 0);
       }
     }
   }
 
-  // Survivor bookkeeping for this UOW (recomputed every UOW, exactly like
-  // the simulator: dead copy sets are re-declared at every admission).
-  live_copies_.assign(static_cast<std::size_t>(graph_.num_filters()), 0);
-  for (int f = 0; f < graph_.num_filters(); ++f) {
-    live_copies_[static_cast<std::size_t>(f)] = pl().total_copies(f);
+  // Instances: the plan's copies that run in this process.
+  local_.assign(plan_.copies().size(), nullptr);
+  for (std::size_t id = 0; id < plan_.copies().size(); ++id) {
+    const core::UowPlan::Copy& copy = plan_.copies()[id];
+    if (!in_process(copy.host)) continue;
+    auto inst = std::make_unique<Instance>(copy);
+    inst->cset = &copysets_[static_cast<std::size_t>(copy.copyset)];
+    inst->user = plan_.instantiate(copy);
+    inst->writers.resize(
+        static_cast<std::size_t>(graph_.filter(copy.filter).num_output_ports));
+    for (std::size_t port = 0; port < inst->writers.size(); ++port) {
+      Writer& w = inst->writers[port];
+      w.stream = &plan_.out_stream(copy.filter, static_cast<int>(port));
+      w.targets = w.stream->targets(copysets_);
+      const bool all_in_process =
+          std::all_of(w.targets.begin(), w.targets.end(),
+                      [&](const CopySetRt& t) { return in_process(t.host); });
+      w.window = governor_ != nullptr && all_in_process ? kElasticWindow
+                                                        : config_.window;
+      w.reset(w.targets.size());
+      if (fault_tolerant()) w.retained.assign(w.targets.size(), {});
+    }
+    inst->m = copy.ledger();
+    inst->stream_local.resize(static_cast<std::size_t>(graph_.num_streams()));
+    inst->ctx = std::make_unique<ContextImpl>(plan_, *inst);
+    local_[id] = inst.get();
+    instances_.push_back(std::move(inst));
   }
-  dead_filters_uow_.clear();
+  census_.reset(plan_);
 
   // Bound each link's outbox at what the credit windows allow outstanding
   // from this rank — per producer copy, `window` un-credited buffers per
@@ -648,8 +500,7 @@ void Engine::build_uow() {
   std::size_t data_bound = 0;
   for (const auto& inst : instances_) {
     for (const Writer& w : inst->writers) {
-      data_bound += w.stream->targets.size() *
-                    static_cast<std::size_t>(config_.window);
+      data_bound += w.targets.size() * static_cast<std::size_t>(config_.window);
     }
   }
   constexpr std::size_t kControlHeadroom = 64;
@@ -674,8 +525,7 @@ void Engine::teardown_uow() {
   }
   instances_.clear();
   copysets_.clear();
-  stream_rt_.clear();
-  local_by_filter_.clear();
+  local_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -803,16 +653,16 @@ const char* Engine::deliver_locked(const Frame& f, int origin) {
   if (route.stream < 0 || route.stream >= graph_.num_streams()) {
     return "frame with bad stream id";
   }
-  StreamRt& srt = *stream_rt_[static_cast<std::size_t>(route.stream)];
+  const core::UowPlan::Stream& srt =
+      plan_.streams()[static_cast<std::size_t>(route.stream)];
   const core::StreamSpec& spec = *srt.spec;
-  if (route.target < 0 ||
-      route.target >= static_cast<int>(srt.targets.size())) {
+  if (route.target < 0 || route.target >= srt.num_targets) {
     return "frame with bad target index";
   }
+  CopySetRt* t = &srt.targets(copysets_)[static_cast<std::size_t>(route.target)];
 
   switch (f.type()) {
     case FrameType::kData: {
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
       if (!in_process(t->host)) return "DATA addressed to a remote copy set";
       // The frame's payload already sits in arena-leased storage (the recv
       // path read it there); adopt it as the delivered buffer.
@@ -829,7 +679,6 @@ const char* Engine::deliver_locked(const Frame& f, int origin) {
       return nullptr;
     }
     case FrameType::kEow: {
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
       if (!in_process(t->host)) return "EOW addressed to a remote copy set";
       if (fault_tolerant()) {
         // Exactly-once against the death settlement: a failover may already
@@ -849,15 +698,9 @@ const char* Engine::deliver_locked(const Frame& f, int origin) {
     }
     case FrameType::kCredit:
     case FrameType::kAck: {
-      auto& by_global =
-          local_by_filter_[static_cast<std::size_t>(spec.from_filter)];
-      if (route.producer < 0 ||
-          route.producer >= static_cast<int>(by_global.size()) ||
-          by_global[static_cast<std::size_t>(route.producer)] == nullptr) {
-        return "credit/ack for a producer not on this rank";
-      }
-      Instance* p = by_global[static_cast<std::size_t>(route.producer)];
-      CopySetRt* t = srt.targets[static_cast<std::size_t>(route.target)];
+      const int id = plan_.copy_id(spec.from_filter, route.producer);
+      Instance* p = id < 0 ? nullptr : local_[static_cast<std::size_t>(id)];
+      if (p == nullptr) return "credit/ack for a producer not on this rank";
       const bool ft = fault_tolerant();
       bool dup = false;
       {
@@ -960,13 +803,13 @@ void Engine::on_peer_dead(int peer) {
         std::lock_guard<std::mutex> flk(faults_mu_);
         faults_.hosts_failed++;
       }
-      hosts_failed_uow_.fetch_add(1, std::memory_order_relaxed);
-      for (auto& cs : copysets_) {
-        if (cs->host != peer || cs->down.load(std::memory_order_relaxed)) {
+      census_.host_failed();
+      for (CopySetRt& cs : copysets_) {
+        if (cs.host != peer || cs.down.load(std::memory_order_relaxed)) {
           continue;
         }
-        cs->down.store(true, std::memory_order_relaxed);
-        fail_copyset_locked(*cs);
+        cs.down.store(true, std::memory_order_relaxed);
+        fail_copyset_locked(cs);
       }
     }
   }
@@ -983,33 +826,26 @@ void Engine::fail_copyset_locked(CopySetRt& cset) {
                            std::memory_order_relaxed)) *
         1e-9;
     std::lock_guard<std::mutex> flk(faults_mu_);
-    faults_.failovers++;
-    faults_.recovery_latency_total += lat;
-    faults_.recovery_latency_max = std::max(faults_.recovery_latency_max, lat);
+    core::record_failover(faults_, lat);
   }
-  // Survivor census. A filter whose every copy is gone turns the UOW into
-  // partial loss; list order matches the simulator's (copy sets in global
-  // creation order, filter appended when its last copy dies).
-  int& live = live_copies_[static_cast<std::size_t>(cset.filter)];
-  live -= cset.copies_n;
-  if (live <= 0) dead_filters_uow_.push_back(cset.filter);
+  // Copy sets fail in plan order, so dead filters list as in the simulator.
+  census_.copies_died(cset.filter, cset.num_copies);
 
   // Settle the dead copies' end-of-work obligations toward in-process
   // consumer sets: each was owed one marker per producer copy that has not
   // already delivered it (eow_seen makes frame vs. settlement exactly-once).
-  for (int s : graph_.out_streams(cset.filter)) {
-    StreamRt& srt = *stream_rt_[static_cast<std::size_t>(s)];
-    const int in_port = srt.spec->to_port;
-    for (CopySetRt* t : srt.targets) {
-      if (!in_process(t->host)) continue;
-      auto it = t->eow_seen.find(s);
-      if (it == t->eow_seen.end()) continue;
-      for (int g = cset.first_global; g < cset.first_global + cset.copies_n;
+  for (const core::UowPlan::Stream& srt : plan_.streams()) {
+    if (srt.spec->from_filter != cset.filter) continue;
+    for (CopySetRt& t : srt.targets(copysets_)) {
+      if (!in_process(t.host)) continue;
+      auto it = t.eow_seen.find(srt.id);
+      if (it == t.eow_seen.end()) continue;
+      for (int g = cset.first_global; g < cset.first_global + cset.num_copies;
            ++g) {
         auto& seen = it->second[static_cast<std::size_t>(g)];
         if (seen != 0) continue;
         seen = 1;
-        t->channel.producer_eow(in_port);
+        t.channel.producer_eow(srt.spec->to_port);
       }
     }
   }
@@ -1021,9 +857,8 @@ void Engine::fail_copyset_locked(CopySetRt& cset) {
   for (auto& inst : instances_) {
     for (std::size_t p = 0; p < inst->writers.size(); ++p) {
       Writer& w = inst->writers[p];
-      const auto& targets = w.stream->targets;
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (targets[t] != &cset) continue;
+      for (std::size_t t = 0; t < w.targets.size(); ++t) {
+        if (&w.targets[t] != &cset) continue;
         std::uint64_t lost = 0;
         std::uint64_t rexmit = 0;
         {
@@ -1070,7 +905,7 @@ void Engine::abort_run(RunStatus status, const std::string& reason,
     if (built_) {
       // Wake everything under the respective mutexes so no blocked thread
       // misses the flag between its predicate check and its wait.
-      for (auto& cs : copysets_) cs->channel.notify_abort();
+      for (CopySetRt& cs : copysets_) cs.channel.notify_abort();
       for (auto& inst : instances_) {
         std::lock_guard<std::mutex> wlk(inst->wmu);
         inst->wcv.notify_all();
@@ -1161,7 +996,6 @@ UowResult Engine::run_uow_outcome() {
       std::lock_guard<std::mutex> flk(faults_mu_);
       faults_before = faults_;
     }
-    hosts_failed_uow_.store(0, std::memory_order_relaxed);
     std::vector<char> dead(static_cast<std::size_t>(num_ranks_), 0);
     bool any_dead = false;
     bool newly_dead = false;
@@ -1176,7 +1010,7 @@ UowResult Engine::run_uow_outcome() {
         any_dead = true;
         if (hosts_counted_[static_cast<std::size_t>(r)] == 0) {
           // Boundary death, charged to the cumulative ledger now that a UOW
-          // actually runs without the rank. Kept out of hosts_failed_uow_:
+          // actually runs without the rank. Kept out of the census:
           // the simulator's on_host_failed is gated on in_uow_, so boundary
           // deaths perturb a UOW only through their admission failovers.
           hosts_counted_[static_cast<std::size_t>(r)] = 1;
@@ -1231,15 +1065,15 @@ UowResult Engine::run_uow_outcome() {
       // Admission pre-pass: copy sets on ranks that died before this UOW
       // began never join — declare them up front so routing excludes them
       // from the first buffer on. Re-counted every UOW, like the simulator.
-      for (auto& cs : copysets_) {
-        if (in_process(cs->host) ||
-            rank_dead_[static_cast<std::size_t>(cs->host)].load(
+      for (CopySetRt& cs : copysets_) {
+        if (in_process(cs.host) ||
+            rank_dead_[static_cast<std::size_t>(cs.host)].load(
                 std::memory_order_relaxed) == 0 ||
-            cs->down.load(std::memory_order_relaxed)) {
+            cs.down.load(std::memory_order_relaxed)) {
           continue;
         }
-        cs->down.store(true, std::memory_order_relaxed);
-        fail_copyset_locked(*cs);
+        cs.down.store(true, std::memory_order_relaxed);
+        fail_copyset_locked(cs);
       }
     }
   }
@@ -1344,7 +1178,6 @@ UowResult Engine::run_uow_outcome() {
   }
 
   const double makespan = seconds_since(t0);
-  std::vector<int> dead_filters_copy;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     built_ = false;
@@ -1356,12 +1189,12 @@ UowResult Engine::run_uow_outcome() {
     // unlocked reads on their threads stay race-free.
     ++uow_index_;
     metrics_.makespan = makespan;
-    dead_filters_copy = dead_filters_uow_;
   }
   teardown_uow();
 
   UowResult r;
   r.makespan = makespan;
+  r.outcome.makespan = makespan;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     r.status = status_;
@@ -1370,29 +1203,12 @@ UowResult Engine::run_uow_outcome() {
     // peer's runtime state) is unrecoverable. An app-level abort (filter
     // exception, explicit ABORT) ends this UOW in lockstep but leaves the
     // links healthy — the next UOW runs normally.
-    if (r.status == RunStatus::kTransportError) poisoned_ = true;
-  }
-  r.outcome.makespan = makespan;
-  if (ft && r.status != RunStatus::kTransportError) {
-    core::FaultMetrics after;
-    {
+    if (r.status == RunStatus::kTransportError) {
+      poisoned_ = true;
+    } else if (ft) {
       std::lock_guard<std::mutex> flk(faults_mu_);
-      after = faults_;
+      r.outcome = census_.outcome(faults_before, faults_, makespan);
     }
-    r.outcome.failovers = after.failovers - faults_before.failovers;
-    r.outcome.retransmits = after.retransmits - faults_before.retransmits;
-    r.outcome.buffers_lost = after.buffers_lost - faults_before.buffers_lost;
-    r.outcome.buffers_duplicated =
-        after.buffers_duplicated - faults_before.buffers_duplicated;
-    r.outcome.dead_filters = std::move(dead_filters_copy);
-    const bool perturbed =
-        r.outcome.failovers > 0 || r.outcome.retransmits > 0 ||
-        r.outcome.buffers_lost > 0 ||
-        hosts_failed_uow_.load(std::memory_order_relaxed) > 0;
-    r.outcome.status = !r.outcome.dead_filters.empty()
-                           ? core::UowStatus::kPartialLoss
-                           : (perturbed ? core::UowStatus::kDegraded
-                                        : core::UowStatus::kComplete);
   }
   return r;
 }
@@ -1479,17 +1295,17 @@ void Engine::worker_main(Instance& inst) {
   // frames, so markers cannot overtake data on the wire either.
   for (auto& w : inst.writers) {
     const int in_port = w.stream->spec->to_port;
-    for (std::size_t ti = 0; ti < w.stream->targets.size(); ++ti) {
-      CopySetRt* t = w.stream->targets[ti];
-      if (in_process(t->host)) {
-        t->channel.producer_eow(in_port);
+    for (std::size_t ti = 0; ti < w.targets.size(); ++ti) {
+      CopySetRt& t = w.targets[ti];
+      if (in_process(t.host)) {
+        t.channel.producer_eow(in_port);
       } else {
         core::BufferRoute route;
         route.stream = w.stream->id;
         route.producer = inst.index;
         route.target = static_cast<std::int32_t>(ti);
         route.uow = static_cast<std::uint32_t>(uow_index_);
-        links_[static_cast<std::size_t>(t->host)]->send(
+        links_[static_cast<std::size_t>(t.host)]->send(
             net::make_frame(FrameType::kEow, route));
       }
     }
@@ -1568,9 +1384,8 @@ void Engine::settle_dequeue(const Delivery& d, bool dd) {
   if (d.origin == rank_) {
     // In-process producer: settle its WriterState directly.
     const core::StreamSpec& spec = graph_.stream(d.route.stream);
-    Instance* producer =
-        local_by_filter_[static_cast<std::size_t>(spec.from_filter)]
-                        [static_cast<std::size_t>(d.route.producer)];
+    Instance* producer = local_[static_cast<std::size_t>(
+        plan_.copy_id(spec.from_filter, d.route.producer))];
     assert(producer != nullptr);
     {
       std::lock_guard<std::mutex> lk(producer->wmu);
@@ -1590,18 +1405,12 @@ void Engine::settle_dequeue(const Delivery& d, bool dd) {
   }
   // Remote producer: the dequeue credit (and, under DD, the demand ack)
   // travel back as frames. origin -2 marks a replayed stash whose sender is
-  // its producer's rank — recover it from the placement via the route.
+  // its producer's rank — recover it from the plan via the route.
   int origin = d.origin;
   if (origin < 0) {
-    const int from = graph_.stream(d.route.stream).from_filter;
-    int global = 0;
-    for (const auto& e : pl().entries(from)) {
-      if (d.route.producer < global + e.copies) {
-        origin = e.host;
-        break;
-      }
-      global += e.copies;
-    }
+    const int id = plan_.copy_id(graph_.stream(d.route.stream).from_filter,
+                                 d.route.producer);
+    if (id >= 0) origin = plan_.copies()[static_cast<std::size_t>(id)].host;
   }
   if (origin < 0 || origin == rank_ || origin >= num_ranks_) return;
   net::PeerLink* link = links_[static_cast<std::size_t>(origin)].get();
@@ -1639,18 +1448,17 @@ void Engine::dispatch(Instance& inst, int port, core::Buffer buf) {
   const bool ft = fault_tolerant();
   const core::Policy policy =
       core::effective_policy(config_.policy, *w.stream->spec);
-  const int win = w.stream->window;
+  const int win = w.window;
   const int key = buf.route_key();
   const auto local = [&](int t) {
-    return w.stream->targets[static_cast<std::size_t>(t)]->host ==
-           inst.cset->host;
+    return w.targets[static_cast<std::size_t>(t)].host == inst.host;
   };
   const auto dead = [&](int t) {
-    return ft && w.stream->targets[static_cast<std::size_t>(t)]->down.load(
+    return ft && w.targets[static_cast<std::size_t>(t)].down.load(
                      std::memory_order_relaxed);
   };
   const auto any_live = [&] {
-    for (std::size_t t = 0; t < w.stream->targets.size(); ++t) {
+    for (std::size_t t = 0; t < w.targets.size(); ++t) {
       if (!dead(static_cast<int>(t))) return true;
     }
     return false;
@@ -1759,7 +1567,7 @@ void Engine::dispatch(Instance& inst, int port, core::Buffer buf) {
   route.target = target;
   route.uow = static_cast<std::uint32_t>(uow_index_);
 
-  CopySetRt* cset = w.stream->targets[static_cast<std::size_t>(target)];
+  CopySetRt* cset = &w.targets[static_cast<std::size_t>(target)];
   if (in_process(cset->host)) {
     Delivery d;
     d.buf = std::move(buf);

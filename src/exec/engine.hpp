@@ -17,6 +17,7 @@
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/runtime.hpp"
+#include "core/uow_plan.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
 #include "net/transport.hpp"
@@ -100,9 +101,9 @@ struct UowResult {
 /// — the paper's transparency carries all the way across real sockets.
 ///
 /// Execution model per UOW: fresh Filter objects are created per copy
-/// (init / process / finalize cycle, identical to the simulator), in the
-/// same copy-set order and with the same per-copy RNG split salts on every
-/// rank, so for the same graph + placement + seed a run produces
+/// (init / process / finalize cycle). Copy sets, stream targets, copy
+/// identity and RNG streams come from the core::UowPlan the simulator builds
+/// too, so for the same graph + placement + seed a run produces
 /// BIT-IDENTICAL merged output to the simulator, however the hosts are
 /// spread over processes. Source copies loop step() and dispatch their
 /// outputs through per-target flow-control windows (RR/WRR cap in-flight
@@ -216,7 +217,6 @@ class Engine {
   // reference them; not part of the stable API.
   struct Instance;
   struct CopySetRt;
-  struct StreamRt;
   struct ContextImpl;
   struct Delivery;
   struct Writer;
@@ -228,7 +228,6 @@ class Engine {
     return num_ranks_ == 1 || host == rank_;
   }
   void start_links();  ///< lazily on the first run call (after set_obs)
-  [[nodiscard]] const std::string& host_class_of(int host) const;
   /// Lazily creates the instance's obs track; nullptr when no session is
   /// attached.
   obs::Track* obs_track(Instance& inst);
@@ -278,10 +277,9 @@ class Engine {
   const core::Placement& placement_;
   core::RuntimeConfig config_;
   DistributedOptions opts_;
-  HostInfo hosts_;
+  std::vector<std::string> host_classes_;  ///< by host id (HostInfo)
   int rank_;
   int num_ranks_;
-  std::vector<std::size_t> buffer_bytes_;  ///< negotiated, per stream
 
   std::vector<net::Socket> peer_sockets_;  ///< until links start
   std::vector<std::unique_ptr<net::PeerLink>> links_;  ///< by rank; null at self
@@ -309,10 +307,10 @@ class Engine {
 
   // Live only while built_ (state_mu_ held for structural access from the
   // recv threads; worker threads own their instances).
+  core::UowPlan plan_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  std::vector<std::unique_ptr<CopySetRt>> copysets_;
-  std::vector<std::unique_ptr<StreamRt>> stream_rt_;
-  std::vector<std::vector<Instance*>> local_by_filter_;  ///< [filter][global]
+  std::vector<CopySetRt> copysets_;  ///< in plan order, remote ones too
+  std::vector<Instance*> local_;     ///< by plan copy id; null when remote
   int uow_index_ = 0;
   /// Non-null iff config_.memory_budget_bytes > 0; outlives every copy set.
   std::unique_ptr<core::MemoryGovernor> governor_;
@@ -336,13 +334,10 @@ class Engine {
   /// boundary deaths are charged at the next admission pre-pass, so a rank
   /// that exits cleanly after the final UOW is never counted. state_mu_.
   std::vector<char> hosts_counted_;
-  /// Mid-UOW host failures observed during the CURRENT UOW — the outcome's
-  /// "perturbed" input. Boundary deaths stay out, mirroring the simulator
-  /// (whose on_host_failed is gated on in_uow_).
-  std::atomic<std::uint64_t> hosts_failed_uow_{0};
-  /// Per-UOW survivor bookkeeping, guarded by state_mu_.
-  std::vector<int> live_copies_;        ///< per filter, current UOW
-  std::vector<int> dead_filters_uow_;   ///< filters that lost every copy
+  /// Survivors and mid-UOW host deaths of the current UOW; state_mu_.
+  /// Boundary deaths stay out of it, mirroring the simulator (whose
+  /// on_host_failed is gated on in_uow_).
+  core::UowCensus census_;
   core::Placement effective_placement_;  ///< replace_dead rewrite
   bool use_effective_ = false;
   net::FaultCell* fault_cell_ = nullptr;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -284,6 +286,104 @@ TEST(ExecDifferentialRng, SortedRunsMatchAcrossEngines) {
 }
 
 // ---------------------------------------------------------------------------
+// Context identity parity: every copy sees the same identity, buffer size and
+// first random draw on both engines, UOW after UOW.
+// ---------------------------------------------------------------------------
+
+using Identity = std::tuple<int, int, int, int, int, std::string, int,
+                            std::size_t, std::uint64_t>;
+
+struct IdentityLog {
+  std::mutex mu;
+  std::vector<Identity> rows;
+};
+
+/// Records (instance_index, num_instances, copy_in_host, copies_on_host,
+/// host, host_class, uow_index, buffer_bytes(0), first rng draw).
+void record_identity(core::FilterContext& ctx, IdentityLog& log) {
+  const std::size_t bytes =
+      ctx.num_output_ports() > 0 ? ctx.buffer_bytes(0) : 0;
+  Identity row{ctx.instance_index(), ctx.num_instances(), ctx.copy_in_host(),
+               ctx.copies_on_host(), ctx.host(),          ctx.host_class(),
+               ctx.uow_index(),      bytes,               ctx.rng().next_u64()};
+  std::lock_guard<std::mutex> lk(log.mu);
+  log.rows.push_back(std::move(row));
+}
+
+class IdentitySource : public core::SourceFilter {
+ public:
+  explicit IdentitySource(std::shared_ptr<IdentityLog> log)
+      : log_(std::move(log)) {}
+  void init(core::FilterContext& ctx) override { record_identity(ctx, *log_); }
+  bool step(core::FilterContext& ctx) override {
+    core::Buffer b = ctx.make_buffer(0);
+    b.push(ctx.instance_index());
+    ctx.write(0, b);
+    return false;
+  }
+
+ private:
+  std::shared_ptr<IdentityLog> log_;
+};
+
+/// Records its identity at init and forwards every buffer it gets.
+class IdentityForward : public core::Filter {
+ public:
+  explicit IdentityForward(std::shared_ptr<IdentityLog> log)
+      : log_(std::move(log)) {}
+  void init(core::FilterContext& ctx) override { record_identity(ctx, *log_); }
+  void process_buffer(core::FilterContext& ctx, int,
+                      const core::Buffer& buf) override {
+    if (ctx.num_output_ports() > 0) ctx.write(0, buf);
+  }
+
+ private:
+  std::shared_ptr<IdentityLog> log_;
+};
+
+std::vector<Identity> run_identity_probe(bool simulated) {
+  auto log = std::make_shared<IdentityLog>();
+  core::Graph g;
+  const int src = g.add_source(
+      "src", [log] { return std::make_unique<IdentitySource>(log); });
+  const int mid = g.add_filter(
+      "mid", [log] { return std::make_unique<IdentityForward>(log); });
+  const int sink = g.add_filter(
+      "sink", [log] { return std::make_unique<IdentityForward>(log); });
+  g.connect(src, 0, mid, 0, 1024, 2048);
+  g.connect(mid, 0, sink, 0);
+  // Unequal copy counts over three hosts of two classes.
+  core::Placement p;
+  p.place(src, 0, 1).place(src, 1, 2);
+  p.place(mid, 0, 2).place(mid, 2, 1).place(mid, 1, 3);
+  p.place(sink, 2, 1);
+  core::RuntimeConfig cfg;
+  cfg.rng_seed = 99;
+  if (simulated) {
+    sim::Simulation simulation;
+    sim::Topology topo(simulation);
+    test::add_plain_nodes(topo, 2, "rogue");
+    test::add_plain_nodes(topo, 1, "blue");
+    core::Runtime rt(topo, g, p, cfg);
+    rt.run_uow();
+    rt.run_uow();
+  } else {
+    exec::Engine eng(g, p, cfg, exec::HostInfo{{"rogue", "rogue", "blue"}});
+    eng.run_uow();
+    eng.run_uow();
+  }
+  std::sort(log->rows.begin(), log->rows.end());
+  return log->rows;
+}
+
+TEST(ExecDifferentialIdentity, ContextIdentityMatchesAcrossEngines) {
+  const std::vector<Identity> sim_rows = run_identity_probe(true);
+  // 10 copies per UOW, 2 UOWs.
+  ASSERT_EQ(sim_rows.size(), 20u);
+  EXPECT_EQ(sim_rows, run_identity_probe(false));
+}
+
+// ---------------------------------------------------------------------------
 // Negative paths: both engines reject invalid configs up front.
 // ---------------------------------------------------------------------------
 
@@ -309,6 +409,17 @@ TEST(ExecConfigValidation, NativeEngineRejectsBadConfig) {
   faulty.detection = core::FailureDetection::kMembership;
   EXPECT_THROW(exec::Engine(p.graph, p.placement, faulty),
                std::invalid_argument);
+
+  // Bad placements: the sink has no copies; a non-source filter has no inputs.
+  core::Placement unplaced;
+  unplaced.place(0, 0).place(1, 0);
+  EXPECT_THROW(exec::Engine(p.graph, unplaced, {}), std::invalid_argument);
+  core::Graph orphan_graph = p.graph;
+  orphan_graph.add_filter("orphan",
+                          [] { return std::make_unique<MixFilter>(); });
+  core::Placement orphan = p.placement;
+  orphan.place(3, 0);
+  EXPECT_THROW(exec::Engine(orphan_graph, orphan, {}), std::invalid_argument);
 }
 
 }  // namespace

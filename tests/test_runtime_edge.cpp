@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "test_util.hpp"
@@ -43,6 +45,49 @@ TEST(RuntimeEdge, UserExceptionPropagatesOutOfRunUow) {
   p.place(0, 0).place(1, 1);
   Runtime rt(topo, g, p, {});
   EXPECT_THROW(rt.run_uow(), std::runtime_error);
+}
+
+// The simulation still holds events bound to a failed UOW, so the runtime
+// refuses to run another instead of starting fresh copies beside stale ones.
+TEST(RuntimeEdge, RunAfterAFilterThrewIsRefused) {
+  auto inits = std::make_shared<int>(0);
+  class ThrowsOnFirstBuffer : public Filter {
+   public:
+    explicit ThrowsOnFirstBuffer(std::shared_ptr<int> inits)
+        : inits_(std::move(inits)) {}
+    void init(FilterContext&) override { ++*inits_; }
+    void process_buffer(FilterContext&, int, const Buffer&) override {
+      throw std::runtime_error("consumer bug");
+    }
+
+   private:
+    std::shared_ptr<int> inits_;
+  };
+  sim::Simulation simulation;
+  sim::Topology topo(simulation);
+  test::add_plain_nodes(topo, 1);
+  Graph g;
+  g.add_source("s", [] { return std::make_unique<OneShotSource>(); });
+  g.add_filter("t",
+               [inits] { return std::make_unique<ThrowsOnFirstBuffer>(inits); });
+  g.connect(0, 0, 1, 0);
+  Placement p;
+  p.place(0, 0).place(1, 0);
+  Runtime rt(topo, g, p, {});
+  try {
+    rt.run_uow();
+    ADD_FAILURE() << "the filter's exception did not propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "consumer bug");
+  }
+  try {
+    rt.run_uow();
+    ADD_FAILURE() << "a second UOW ran on the failed runtime";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("consumer bug"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(*inits, 1);
 }
 
 TEST(RuntimeEdge, RejectsInvalidRuntimeConfig) {
